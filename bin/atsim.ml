@@ -461,7 +461,7 @@ let decoupled_cmd =
         match trace_file with
         | Some path when stream -> (
           match Trace.format_of_file path with
-          | Trace.Streamed -> Trace.Stream.source path
+          | Trace.Streamed -> Engine.source_of_stream path
           | Trace.Text | Trace.Binary | Trace.Hex ->
             (* Hex refuses inside load with an import pointer. *)
             Engine.source_of_array (Trace.load path))
@@ -475,13 +475,12 @@ let decoupled_cmd =
           Engine.shards;
           epoch_len = epoch;
           warmup = Option.value shard_warmup ~default:epoch;
-          domains = None;
         }
       in
       let totals =
         Engine.replay
           ~obs:(Obs.Scope.v ~prefix:"engine" reg)
-          ~clock:Atp_exp.Runner.wall_clock ~config
+          ~config
           ~make_sim:(fun () -> make_sim ())
           source
       in

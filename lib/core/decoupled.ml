@@ -94,8 +94,8 @@ let fault_code = -1
 let not_covered_code = -2
 
 (* The covered-case body, shared with {!translate_code}: callers that
-   have just ensured coverage (the fused loop adds u to the TLB on an
-   X miss before translating) skip the membership probe. *)
+   have just ensured coverage ([Simulation.access] adds u to the TLB on
+   an X miss before translating) skip the membership probe. *)
 let[@inline] [@atplint.hot] translate_covered_code t v u =
   let value = Int_table.Poly.find_or t.values u no_value in
   if value == no_value then fault_code

@@ -72,7 +72,7 @@ val translate_covered_code : t -> int -> int -> int
 (** [translate_covered_code t v u] is {!translate_code} for a page
     whose huge page [u] is already known to be TLB-covered — the
     membership probe is skipped, so [not_covered_code] is never
-    returned.  The fused replay loop calls this right after ensuring
+    returned.  {!Simulation.access} calls this right after ensuring
     coverage. *)
 
 val fault_code : int

@@ -1,6 +1,8 @@
 open Atp_paging
 module Obs = Atp_obs
 
+[@@@atplint.hot]
+
 type report = {
   accesses : int;
   ios : int;
@@ -20,8 +22,8 @@ let c_io (r : report) = float_of_int r.ios
 
 type t = {
   d : Decoupled.t;
-  x : Policy.instance;
-  y : Policy.instance;
+  x : int -> int;  (* X's access_fast *)
+  y : int -> int;  (* Y's access_fast *)
   failures_at_reset : int ref;
   tr : Obs.Trace.t;
   c_accesses : Obs.Counter.t;
@@ -32,7 +34,11 @@ type t = {
   g_max_bucket_load : Obs.Gauge.t;
 }
 
-let create ?seed ?obs ~params ~x ~y () =
+(* Constructor, not per-access code: runs once per simulator, so the
+   allocations its callees perform are setup cost, not hot-path churn.
+   (The file-wide hot tag covers [access].) *)
+let[@atplint.allow "hot-path-alloc-transitive"] create ?seed ?obs ~params
+    ~(x : Policy.instance) ~(y : Policy.instance) () =
   let budget = Params.usable_pages params in
   if y.Policy.capacity > budget then
     invalid_arg
@@ -43,8 +49,8 @@ let create ?seed ?obs ~params ~x ~y () =
   let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
   {
     d;
-    x;
-    y;
+    x = x.Policy.access_fast;
+    y = y.Policy.access_fast;
     failures_at_reset = ref 0;
     tr = Obs.Scope.tracer obs;
     c_accesses = Obs.Scope.counter obs "accesses";
@@ -60,52 +66,53 @@ let decoupled t = t.d
 (* A residency change rewrites the ψ field of the covering huge page;
    when that huge page is TLB-covered, the materialized entry must be
    refreshed too — the ψ-update cost the SMP model charges IPIs for. *)
-let note_psi_update t page =
+let[@inline] note_psi_update t page =
   let u = Decoupled.huge_of t.d page in
   if Decoupled.tlb_mem t.d u then begin
     Obs.Counter.incr t.c_psi_updates;
     Obs.Trace.record t.tr Obs.Event.Psi_update page u
   end
 
+(* Outcomes travel as the untagged ints of {!Policy.access_fast} and
+   translation as {!Decoupled.translate_covered_code}: no block is
+   allocated per access. *)
 let access t page =
   Obs.Counter.incr t.c_accesses;
   let u = Decoupled.huge_of t.d page in
   (* TLB side: Z's TLB mirrors X's content on the stream r(σ). *)
-  (match t.x.Policy.access u with
-   | Policy.Hit -> Obs.Trace.record t.tr Obs.Event.Tlb_hit u 0
-   | Policy.Miss { evicted } ->
-     Obs.Counter.incr t.c_tlb_fills;
-     Obs.Trace.record t.tr Obs.Event.Tlb_miss u 0;
-     (match evicted with
-      | Some victim ->
-        Obs.Trace.record t.tr Obs.Event.Eviction victim u;
-        Decoupled.tlb_remove t.d victim
-      | None -> ());
-     Decoupled.tlb_add t.d u);
+  let fx = t.x u in
+  if Policy.fast_is_hit fx then Obs.Trace.record t.tr Obs.Event.Tlb_hit u 0
+  else begin
+    Obs.Counter.incr t.c_tlb_fills;
+    Obs.Trace.record t.tr Obs.Event.Tlb_miss u 0;
+    let victim = Policy.fast_evicted fx in
+    if victim >= 0 then begin
+      Obs.Trace.record t.tr Obs.Event.Eviction victim u;
+      Decoupled.tlb_remove t.d victim
+    end;
+    Decoupled.tlb_add t.d u
+  end;
   (* RAM side: Z's active set mirrors Y's. *)
-  (match t.y.Policy.access page with
-   | Policy.Hit -> ()
-   | Policy.Miss { evicted } ->
-     Obs.Counter.incr t.c_ios;
-     Obs.Trace.record t.tr Obs.Event.Io page 0;
-     (match evicted with
-      | Some victim ->
-        Decoupled.ram_evict t.d victim;
-        note_psi_update t victim
-      | None -> ());
-     Decoupled.ram_insert t.d page;
-     note_psi_update t page);
-  (* Translate. The huge page is covered and the page is active, so
-     the only non-frame answer is a decoding miss from a paging
-     failure. *)
-  match Decoupled.translate t.d page with
-  | Decoupled.Frame _ -> ()
-  | Decoupled.Decode_fault ->
+  let fy = t.y page in
+  if not (Policy.fast_is_hit fy) then begin
+    Obs.Counter.incr t.c_ios;
+    Obs.Trace.record t.tr Obs.Event.Io page 0;
+    let victim = Policy.fast_evicted fy in
+    if victim >= 0 then begin
+      Decoupled.ram_evict t.d victim;
+      note_psi_update t victim
+    end;
+    Decoupled.ram_insert t.d page;
+    note_psi_update t page
+  end;
+  (* Translate. u is covered — X just added it on a miss, or holds it
+     on a hit — and the page is active, so the only non-frame answer is
+     a decoding miss from a paging failure. *)
+  let code = Decoupled.translate_covered_code t.d page u in
+  if code = Decoupled.fault_code then begin
     Obs.Counter.incr t.c_decoding_misses;
     Obs.Trace.record t.tr Obs.Event.Decode_miss page u
-  | Decoupled.Not_covered ->
-    (* We just added u on an X miss, and X holds u on a hit. *)
-    assert false
+  end
 
 let report t =
   let max_bucket_load = Alloc.max_bucket_load (Decoupled.alloc t.d) in
@@ -128,15 +135,22 @@ let reset_report t =
   Obs.Counter.reset t.c_decoding_misses;
   Obs.Counter.reset t.c_psi_updates
 
+let access_all t refs =
+  for i = 0 to Array.length refs - 1 do
+    access t (Array.unsafe_get refs i)
+  done
+
 let run ?warmup t trace =
   (match warmup with
-   | Some w -> Array.iter (access t) w
+   | Some w -> access_all t w
    | None -> ());
   reset_report t;
-  Array.iter (access t) trace;
+  access_all t trace;
   report t
 
-let huge_trace ~h_max trace = Array.map (fun p -> p / h_max) trace
+(* Trace preparation, once per trace: not per-access code. *)
+let[@atplint.allow "hot-path-alloc"] huge_trace ~h_max trace =
+  Array.map (fun p -> p / h_max) trace
 
 let pp_report ppf (r : report) =
   Format.fprintf ppf

@@ -59,7 +59,9 @@ val create :
 val decoupled : t -> Decoupled.t
 
 val access : t -> int -> unit
-(** Service one virtual page request through Z. *)
+(** Service one virtual page request through Z.  X and Y step through
+    their {!Atp_paging.Policy.S.access_fast}, so no outcome block is
+    allocated per request. *)
 
 val report : t -> report
 

@@ -7,11 +7,9 @@ type config = {
   shards : int;
   epoch_len : int;
   warmup : int;
-  domains : int option;
 }
 
-let default_config =
-  { shards = 4; epoch_len = 1 lsl 20; warmup = 1 lsl 20; domains = None }
+let default_config = { shards = 4; epoch_len = 1 lsl 20; warmup = 1 lsl 20 }
 
 let validate_config c =
   if c.shards < 1 then invalid_arg "Engine: shards must be positive";
@@ -69,63 +67,27 @@ let pp_totals ppf t =
     t.tlb_fills Stats.pp_count t.decoding_misses Stats.pp_count t.failures
     t.max_bucket_load Stats.pp_count t.warmup_replayed
 
-type source = unit -> int option
+(* Block sources: the engine pulls whole blocks into a caller buffer,
+   never one option per ref. *)
+type source = int array -> int -> int -> int
 
-let source_of_array trace =
-  let pos = ref 0 in
-  fun () ->
-    if !pos >= Array.length trace then None
-    else begin
-      let page = trace.(!pos) in
-      incr pos;
-      Some page
-    end
+let check_block name dst pos len =
+  if pos < 0 || len < 0 || pos + len > Array.length dst then invalid_arg name
 
-let source_of_workload w ~n =
-  if n < 0 then invalid_arg "Engine.source_of_workload: negative n";
-  let left = ref n in
-  fun () ->
-    if !left <= 0 then None
-    else begin
-      decr left;
-      Some (w.Workload.next ())
-    end
-
-(* Fill-based sources: the fused replay path pulls whole blocks into a
-   caller buffer instead of paying an option allocation per ref. *)
-type block_source = int array -> int -> int -> int
-
-let block_of_source (s : source) : block_source =
- fun dst pos len ->
-  if pos < 0 || len < 0 || pos + len > Array.length dst then
-    invalid_arg "Engine.block_of_source";
-  let n = ref 0 in
-  let eof = ref false in
-  while !n < len && not !eof do
-    match s () with
-    | Some page ->
-      Array.unsafe_set dst (pos + !n) page;
-      incr n
-    | None -> eof := true
-  done;
-  !n
-
-let block_source_of_array trace : block_source =
+let source_of_array trace : source =
   let consumed = ref 0 in
   fun dst pos len ->
-    if pos < 0 || len < 0 || pos + len > Array.length dst then
-      invalid_arg "Engine.block_source_of_array";
+    check_block "Engine.source_of_array" dst pos len;
     let k = min len (Array.length trace - !consumed) in
     Array.blit trace !consumed dst pos k;
     consumed := !consumed + k;
     k
 
-let block_source_of_workload w ~n : block_source =
-  if n < 0 then invalid_arg "Engine.block_source_of_workload: negative n";
+let source_of_workload w ~n : source =
+  if n < 0 then invalid_arg "Engine.source_of_workload: negative n";
   let left = ref n in
   fun dst pos len ->
-    if pos < 0 || len < 0 || pos + len > Array.length dst then
-      invalid_arg "Engine.block_source_of_workload";
+    check_block "Engine.source_of_workload" dst pos len;
     let k = min len !left in
     for i = pos to pos + k - 1 do
       Array.unsafe_set dst i (w.Workload.next ())
@@ -133,7 +95,7 @@ let block_source_of_workload w ~n : block_source =
     left := !left - k;
     k
 
-let block_source_of_stream path : block_source =
+let source_of_stream path : source =
   let r = Trace.Stream.open_reader path in
   fun dst pos len ->
     let k = Trace.Stream.read_into r dst pos len in
@@ -166,22 +128,17 @@ end
 
 type epoch = { pre : int array; refs : int array }
 
-let pull_epoch ~config ~history source =
+let pull_epoch ~config ~history (source : source) =
   let pre = History.window history ~warmup:config.warmup in
   let buf = Array.make config.epoch_len 0 in
-  let n = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !n < config.epoch_len do
-    match source () with
-    | Some page ->
-      buf.(!n) <- page;
-      incr n;
-      History.push history page
-    | None -> eof := true
-  done;
-  if !n = 0 then None
-  else
-    Some { pre; refs = (if !n = config.epoch_len then buf else Array.sub buf 0 !n) }
+  let n = source buf 0 config.epoch_len in
+  if n = 0 then None
+  else begin
+    for i = 0 to n - 1 do
+      History.push history (Array.unsafe_get buf i)
+    done;
+    Some { pre; refs = (if n = config.epoch_len then buf else Array.sub buf 0 n) }
+  end
 
 let rec pull_batch ~config ~history source k acc =
   if k = 0 then List.rev acc
@@ -190,13 +147,11 @@ let rec pull_batch ~config ~history source k acc =
     | None -> List.rev acc
     | Some e -> pull_batch ~config ~history source (k - 1) (e :: acc)
 
-let replay ?obs ?clock ~config ~make_sim source =
+let replay ?obs ~config ~make_sim source =
   validate_config config;
   let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
-  let clock = match clock with Some f -> f | None -> fun () -> 0. in
   let c_epochs = Obs.Scope.counter obs "epochs"
-  and c_warmup = Obs.Scope.counter obs "warmup_discarded"
-  and c_merge_ns = Obs.Scope.counter obs "merge_ns" in
+  and c_warmup = Obs.Scope.counter obs "warmup_discarded" in
   let history = History.create config.warmup in
   let totals = ref empty_totals in
   let finished = ref false in
@@ -208,104 +163,20 @@ let replay ?obs ?clock ~config ~make_sim source =
          domains; the per-epoch reports merge in stream order, so the
          aggregate is independent of scheduling. *)
       let reports =
-        Parallel.map ?domains:config.domains
+        Parallel.map
           (fun e ->
             let sim = make_sim () in
             (Simulation.run ~warmup:e.pre sim e.refs, Array.length e.pre))
           batch
       in
-      let t0 = clock () in
       List.iter
         (fun (r, warmup_len) ->
           totals := add_report !totals r ~warmup_len;
           Obs.Counter.incr c_epochs;
           Obs.Counter.add c_warmup warmup_len)
-        reports;
-      Obs.Counter.add c_merge_ns
-        (int_of_float ((clock () -. t0) *. 1e9))
+        reports
   done;
   !totals
-
-let replay_sequential ?obs ~make_sim source =
-  let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
-  let c_epochs = Obs.Scope.counter obs "epochs" in
-  let sim = make_sim () in
-  let eof = ref false in
-  while not !eof do
-    match source () with
-    | Some page -> Simulation.access sim page
-    | None -> eof := true
-  done;
-  Obs.Counter.incr c_epochs;
-  add_report empty_totals (Simulation.report sim) ~warmup_len:0
-
-(* --- the fused paths ---------------------------------------------- *)
-
-let pull_epoch_block ~config ~history (bsource : block_source) =
-  let pre = History.window history ~warmup:config.warmup in
-  let buf = Array.make config.epoch_len 0 in
-  let n = bsource buf 0 config.epoch_len in
-  if n = 0 then None
-  else begin
-    for i = 0 to n - 1 do
-      History.push history (Array.unsafe_get buf i)
-    done;
-    Some { pre; refs = (if n = config.epoch_len then buf else Array.sub buf 0 n) }
-  end
-
-let rec pull_batch_block ~config ~history bsource k acc =
-  if k = 0 then List.rev acc
-  else
-    match pull_epoch_block ~config ~history bsource with
-    | None -> List.rev acc
-    | Some e -> pull_batch_block ~config ~history bsource (k - 1) (e :: acc)
-
-let replay_fused ?obs ?clock ~config ~make_fused (bsource : block_source) =
-  validate_config config;
-  let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
-  let clock = match clock with Some f -> f | None -> fun () -> 0. in
-  let c_epochs = Obs.Scope.counter obs "epochs"
-  and c_warmup = Obs.Scope.counter obs "warmup_discarded"
-  and c_merge_ns = Obs.Scope.counter obs "merge_ns" in
-  let history = History.create config.warmup in
-  let totals = ref empty_totals in
-  let finished = ref false in
-  while not !finished do
-    match pull_batch_block ~config ~history bsource config.shards [] with
-    | [] -> finished := true
-    | batch ->
-      let reports =
-        Parallel.map ?domains:config.domains
-          (fun e ->
-            let f = make_fused () in
-            (Sim_fused.run_fused ~warmup:e.pre f e.refs, Array.length e.pre))
-          batch
-      in
-      let t0 = clock () in
-      List.iter
-        (fun (r, warmup_len) ->
-          totals := add_report !totals r ~warmup_len;
-          Obs.Counter.incr c_epochs;
-          Obs.Counter.add c_warmup warmup_len)
-        reports;
-      Obs.Counter.add c_merge_ns (int_of_float ((clock () -. t0) *. 1e9))
-  done;
-  !totals
-
-let sequential_block_len = 1 lsl 16
-
-let replay_sequential_fused ?obs ~make_fused (bsource : block_source) =
-  let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
-  let c_epochs = Obs.Scope.counter obs "epochs" in
-  let f : Sim_fused.fused = make_fused () in
-  let buf = Array.make sequential_block_len 0 in
-  let eof = ref false in
-  while not !eof do
-    let n = bsource buf 0 sequential_block_len in
-    if n = 0 then eof := true else f.Sim_fused.access_array buf 0 n
-  done;
-  Obs.Counter.incr c_epochs;
-  add_report empty_totals (f.Sim_fused.report ()) ~warmup_len:0
 
 (* --- tenant-partitioned replay ------------------------------------ *)
 
@@ -330,7 +201,7 @@ type partition_counts = { arrived : int; departed : int; accessed : int }
    dropped at departure — memory is O(active tenants in this
    partition).  A tenant's report is finalized at its Tdepart, or at
    end of stream (in tenant-id order) if it never departs. *)
-let run_partition ~shard ~shards ~create ~access ~report source =
+let run_partition ~shard ~shards ~make_sim source =
   let sims = Int_table.Poly.create () in
   let out = ref [] in
   let arrived = ref 0 and departed = ref 0 and accessed = ref 0 in
@@ -339,7 +210,7 @@ let run_partition ~shard ~shards ~create ~access ~report source =
     match Int_table.Poly.find sims tenant with
     | Some s -> s
     | None ->
-      let s = create tenant in
+      let s = make_sim tenant in
       incr arrived;
       Int_table.Poly.set sims tenant s;
       s
@@ -355,7 +226,7 @@ let run_partition ~shard ~shards ~create ~access ~report source =
     | Some (Tarrive { tenant }) -> if owned tenant then ignore (get tenant)
     | Some (Taccess { tenant; page }) ->
       if owned tenant then begin
-        access (get tenant) page;
+        Simulation.access (get tenant) page;
         incr accessed
       end
     | Some (Tdepart { tenant }) -> (
@@ -365,29 +236,28 @@ let run_partition ~shard ~shards ~create ~access ~report source =
         | Some s ->
           incr departed;
           ignore (Int_table.Poly.remove sims tenant);
-          out := { tenant; report = report s } :: !out)
+          out := { tenant; report = Simulation.report s } :: !out)
   done;
   let rest = Int_table.Poly.fold (fun t s acc -> (t, s) :: acc) sims [] in
   List.iter
-    (fun (tenant, s) -> out := { tenant; report = report s } :: !out)
+    (fun (tenant, s) -> out := { tenant; report = Simulation.report s } :: !out)
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) rest);
   ( List.rev !out,
     { arrived = !arrived; departed = !departed; accessed = !accessed } )
 
 let by_tenant a b = Int.compare a.tenant b.tenant
 
-let replay_tenants_with ?obs ?domains ~shards ~create ~access ~report
-    make_source =
+let replay_tenants ?obs ~shards ~make_sim make_source =
   if shards < 1 then invalid_arg "Engine.replay_tenants: shards must be positive";
   let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
   let c_tenants = Obs.Scope.counter obs "tenants"
   and c_departures = Obs.Scope.counter obs "tenant_departures"
   and c_accesses = Obs.Scope.counter obs "tenant_accesses" in
   let parts =
-    Parallel.map ?domains
+    Parallel.map
       (fun shard ->
         let source = make_source () in
-        run_partition ~shard ~shards ~create ~access ~report source)
+        run_partition ~shard ~shards ~make_sim source)
       (List.init shards (fun i -> i))
   in
   List.iter
@@ -400,34 +270,7 @@ let replay_tenants_with ?obs ?domains ~shards ~create ~access ~report
      order, and the merged list is independent of the shard count. *)
   List.stable_sort by_tenant (List.concat_map fst parts)
 
-let replay_tenants ?obs ?domains ~shards ~make_sim make_source =
-  replay_tenants_with ?obs ?domains ~shards ~create:make_sim
-    ~access:Simulation.access ~report:Simulation.report make_source
-
-let replay_tenants_sequential ?obs ~make_sim source =
-  replay_tenants ?obs ~domains:1 ~shards:1 ~make_sim (fun () -> source)
-
-let replay_tenants_fused ?obs ?domains ~shards ~make_fused make_source =
-  replay_tenants_with ?obs ?domains ~shards ~create:make_fused
-    ~access:(fun (f : Sim_fused.fused) page -> f.Sim_fused.access page)
-    ~report:(fun (f : Sim_fused.fused) -> f.Sim_fused.report ())
-    make_source
-
-let replay_tenants_sequential_fused ?obs ~make_fused source =
-  replay_tenants_fused ?obs ~domains:1 ~shards:1 ~make_fused (fun () -> source)
-
 let tenant_totals reports =
   List.fold_left
     (fun t { report = r; _ } -> add_report t r ~warmup_len:0)
     empty_totals reports
-
-let replay_stream_fused ?obs ~make_fused path =
-  let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
-  let c_epochs = Obs.Scope.counter obs "epochs" in
-  let f : Sim_fused.fused = make_fused () in
-  Trace.Stream.with_reader path (fun r ->
-      Trace.Stream.fold_chunks
-        (fun () chunk n -> f.Sim_fused.access_chunk chunk 0 n)
-        () r);
-  Obs.Counter.incr c_epochs;
-  add_report empty_totals (f.Sim_fused.report ()) ~warmup_len:0

@@ -14,8 +14,15 @@
     sequentially with identical results, because the merge order is
     the stream order, never the scheduling order.
 
-    Peak memory is [shards * (epoch_len + warmup)] references plus one
-    decode chunk — independent of the trace length.
+    Exact sequential replay is a configuration, not a separate entry
+    point: [{ shards = 1; epoch_len >= n; warmup = 0 }] replays an
+    [n]-reference stream as one epoch on one fresh simulator, the
+    reference the differential suite compares sharded runs against.
+
+    Peak memory is [shards * (epoch_len + warmup)] references for the
+    epochs and their warm-up prefixes, plus the [warmup]-sized history
+    ring they are cut from and one decode chunk — independent of the
+    trace length.
 
     {2 Exactness and the error model}
 
@@ -43,8 +50,6 @@ type config = {
   warmup : int;
       (** references re-executed (then discarded from counts) before
           each epoch; clipped to the available prefix (>= 0) *)
-  domains : int option;
-      (** cap for {!Atp_util.Parallel.map}; [None] = recommended *)
 }
 
 val default_config : config
@@ -80,37 +85,20 @@ val add_report : totals -> Atp_core.Simulation.report -> warmup_len:int -> total
 
 val pp_totals : Format.formatter -> totals -> unit
 
-type source = unit -> int option
-(** A pull stream of page references; [None] ends the replay.
-    {!Atp_workloads.Trace.Stream.source} reads one from a packed
-    trace file. *)
+type source = int array -> int -> int -> int
+(** A block stream of page references: [src dst pos len] fills
+    [dst.(pos..pos+len-1)] with the next references and returns how
+    many it wrote; short counts (including 0) only at end of stream. *)
 
 val source_of_array : int array -> source
+(** @raise Invalid_argument from the returned source on a block range
+      outside its buffer. *)
 
 val source_of_workload : Atp_workloads.Workload.t -> n:int -> source
 (** The workload's next [n] references.
     @raise Invalid_argument if [n] is negative. *)
 
-type block_source = int array -> int -> int -> int
-(** [bs dst pos len] fills [dst.(pos..pos+len-1)] with the next refs
-    of the stream and returns how many were written; short counts
-    (including 0) only at end of stream.  The fused replay paths pull
-    blocks instead of per-ref options. *)
-
-val block_of_source : source -> block_source
-(** Adapter (still pays the underlying option per ref).
-
-    @raise Invalid_argument via the wrapped source's own errors when
-      pulling the next block. *)
-
-val block_source_of_array : int array -> block_source
-(** @raise Invalid_argument from the returned source if a reader asks
-      for a negative block length. *)
-
-val block_source_of_workload : Atp_workloads.Workload.t -> n:int -> block_source
-(** @raise Invalid_argument if [n] is negative. *)
-
-val block_source_of_stream : string -> block_source
+val source_of_stream : string -> source
 (** Decodes a packed [.atps] trace through
     {!Atp_workloads.Trace.Stream.read_into}: no per-ref allocation.
     The file closes at end of stream.
@@ -118,7 +106,6 @@ val block_source_of_stream : string -> block_source
 
 val replay :
   ?obs:Atp_obs.Scope.t ->
-  ?clock:(unit -> float) ->
   config:config ->
   make_sim:(unit -> Atp_core.Simulation.t) ->
   source ->
@@ -129,63 +116,11 @@ val replay :
     (derive any {!Atp_util.Prng.t} from a constant seed inside the
     closure, not outside).
 
-    [obs] registers the engine counters [epochs],
-    [warmup_discarded], and [merge_ns] (merge time, measured with
-    [clock] when given — seconds, e.g. [Unix.gettimeofday] — and 0
-    otherwise; injectable so library code stays deterministic).
+    [obs] registers the engine counters [epochs] and
+    [warmup_discarded].
 
     @raise Invalid_argument on a non-positive [shards]/[epoch_len] or
     a negative [warmup]. *)
-
-val replay_sequential :
-  ?obs:Atp_obs.Scope.t ->
-  make_sim:(unit -> Atp_core.Simulation.t) ->
-  source ->
-  totals
-(** Exact sequential replay of the same stream on one fresh simulator
-    (one epoch, no warm-up): the reference the differential harness
-    compares {!replay} against. *)
-
-(** {2 Fused replay}
-
-    Same epoch slicing, warm-up semantics, and merge order as
-    {!replay}/{!replay_sequential}, but each epoch runs on a
-    {!Atp_core.Sim_fused.fused} simulator and references travel in
-    blocks ({!block_source}) rather than one option at a time.  With
-    the same policies and seeds, totals are identical to the generic
-    paths (the differential suite asserts equality). *)
-
-val replay_fused :
-  ?obs:Atp_obs.Scope.t ->
-  ?clock:(unit -> float) ->
-  config:config ->
-  make_fused:(unit -> Atp_core.Sim_fused.fused) ->
-  block_source ->
-  totals
-(** Sharded fused replay.  [make_fused] has the same contract as
-    [make_sim] in {!replay}: deterministic, no mutable state shared
-    across calls.  Registers the same [epochs]/[warmup_discarded]/
-    [merge_ns] counters.
-    @raise Invalid_argument on a bad [config]. *)
-
-val replay_sequential_fused :
-  ?obs:Atp_obs.Scope.t ->
-  make_fused:(unit -> Atp_core.Sim_fused.fused) ->
-  block_source ->
-  totals
-(** Exact sequential fused replay: pulls 64 Ki-ref blocks into a
-    reused buffer and feeds them through [access_array]. *)
-
-val replay_stream_fused :
-  ?obs:Atp_obs.Scope.t ->
-  make_fused:(unit -> Atp_core.Sim_fused.fused) ->
-  string ->
-  totals
-(** The fully fused end-to-end path for a packed [.atps] trace:
-    decoded chunks are consumed in place via
-    {!Atp_workloads.Trace.Stream.fold_chunks} and [access_chunk] — no
-    intermediate ref array at all.
-    @raise Atp_workloads.Trace.Parse_error on a corrupt file. *)
 
 (** {2 Tenant-partitioned replay}
 
@@ -203,9 +138,9 @@ val replay_stream_fused :
     The merged result is a pure function of the stream: per-tenant
     reports come back sorted by tenant id (stream order among
     instances of a reappearing id) and are byte-identical across shard
-    counts and to {!replay_tenants_sequential}; the differential suite
-    in [test/test_fleet.ml] asserts this across policies, shard
-    counts, and the generic/fused pair. *)
+    counts, [~shards:1] being the one-pass replay; the differential
+    suite in [test/test_fleet.ml] asserts this across policies and
+    shard counts. *)
 
 type tenant_event =
   | Tarrive of { tenant : int }  (** address space [tenant] starts *)
@@ -225,7 +160,6 @@ val pp_tenant_report : Format.formatter -> tenant_report -> unit
 
 val replay_tenants :
   ?obs:Atp_obs.Scope.t ->
-  ?domains:int ->
   shards:int ->
   make_sim:(int -> Atp_core.Simulation.t) ->
   (unit -> tenant_source) ->
@@ -243,34 +177,6 @@ val replay_tenants :
 
     @raise Invalid_argument on a non-positive [shards] or a negative
     tenant id in the stream. *)
-
-val replay_tenants_sequential :
-  ?obs:Atp_obs.Scope.t ->
-  make_sim:(int -> Atp_core.Simulation.t) ->
-  tenant_source ->
-  tenant_report list
-(** One pass, one domain, every tenant: the reference the differential
-    harness compares {!replay_tenants} against.
-    @raise Invalid_argument on a negative tenant id. *)
-
-val replay_tenants_fused :
-  ?obs:Atp_obs.Scope.t ->
-  ?domains:int ->
-  shards:int ->
-  make_fused:(int -> Atp_core.Sim_fused.fused) ->
-  (unit -> tenant_source) ->
-  tenant_report list
-(** {!replay_tenants} on fused simulators; same contracts, identical
-    reports when policies and seeds match the generic path.
-    @raise Invalid_argument on a non-positive [shards] or a negative
-    tenant id. *)
-
-val replay_tenants_sequential_fused :
-  ?obs:Atp_obs.Scope.t ->
-  make_fused:(int -> Atp_core.Sim_fused.fused) ->
-  tenant_source ->
-  tenant_report list
-(** @raise Invalid_argument on a negative tenant id. *)
 
 val tenant_totals : tenant_report list -> totals
 (** Fold per-tenant reports into fleet-wide totals ([epochs] counts

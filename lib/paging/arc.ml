@@ -113,6 +113,8 @@ let access t page =
     Policy.Miss { evicted }
   end
 
+let access_fast t page = Policy.fast_of_outcome (access t page)
+
 let remove t page =
   (* Also purge ghosts so a shootdown fully forgets the page. *)
   let was_resident =

@@ -68,6 +68,8 @@ let access t page =
     t.size <- t.size + 1;
     Policy.Miss { evicted }
 
+let access_fast t page = Policy.fast_of_outcome (access t page)
+
 let remove t page =
   match Int_table.find t.index page with
   | None -> false

@@ -59,6 +59,8 @@ let access t page =
     push t page 1;
     Policy.Miss { evicted }
 
+let access_fast t page = Policy.fast_of_outcome (access t page)
+
 let remove t page = Int_table.remove t.freq page
 
 let resident t = Int_table.keys t.freq

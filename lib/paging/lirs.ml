@@ -174,6 +174,8 @@ let access t page =
     end;
     Policy.Miss { evicted }
 
+let access_fast t page = Policy.fast_of_outcome (access t page)
+
 let remove t page =
   match state_of t page with
   | Some Lir ->

@@ -35,6 +35,8 @@ let access t page =
     Lru_list.push_front t.order slot;
     Policy.Miss { evicted }
 
+let access_fast t page = Policy.fast_of_outcome (access t page)
+
 let remove t page =
   match Slots.slot_of_page t.slots page with
   | None -> false

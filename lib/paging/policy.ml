@@ -36,20 +36,9 @@ module type S = sig
   val size : t -> int
   val mem : t -> int -> bool
   val access : t -> int -> outcome
+  val access_fast : t -> int -> int
   val remove : t -> int -> bool
   val resident : t -> int list
-end
-
-module type Fast = sig
-  include S
-
-  val access_fast : t -> int -> int
-end
-
-module Fast_of (P : S) : Fast with type t = P.t = struct
-  include P
-
-  let access_fast t page = fast_of_outcome (P.access t page)
 end
 
 type instance = {
@@ -63,7 +52,7 @@ type instance = {
   resident : unit -> int list;
 }
 
-let instantiate_fast (module P : Fast) ?rng ~capacity () =
+let instantiate (module P : S) ?rng ~capacity () =
   let state = P.create ?rng ~capacity () in
   {
     name = P.name;
@@ -75,8 +64,6 @@ let instantiate_fast (module P : Fast) ?rng ~capacity () =
     remove = (fun page -> P.remove state page);
     resident = (fun () -> P.resident state);
   }
-
-let instantiate (module P : S) = instantiate_fast (module Fast_of (P) : Fast)
 
 let evicted = function
   | Hit -> None

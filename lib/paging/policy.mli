@@ -57,6 +57,13 @@ module type S = sig
   (** Service a request for a page: a hit updates recency metadata; a
       miss inserts the page, evicting a victim if the cache is full. *)
 
+  val access_fast : t -> int -> int
+  (** The allocation-free form of [access]: the same state evolution,
+      with the outcome encoded as {!fast_hit}, {!fast_miss_free}, or
+      the evicted page (see {!fast_of_outcome}).  LRU, FIFO and 2Q
+      implement it natively; the other policies encode their boxed
+      outcome. *)
+
   val remove : t -> int -> bool
   (** Invalidate a page without an access (e.g. a shootdown).  Returns
       whether it was resident. *)
@@ -64,23 +71,6 @@ module type S = sig
   val resident : t -> int list
   (** Unordered list of resident pages. *)
 end
-
-(** A policy that additionally exposes the allocation-free access
-    primitive.  [access_fast] must be behaviorally identical to
-    [access] (same state evolution, outcomes related by
-    {!fast_of_outcome}); the differential suite checks this for every
-    registered policy. *)
-module type Fast = sig
-  include S
-
-  val access_fast : t -> int -> int
-  (** {!fast_hit}, {!fast_miss_free}, or the evicted page. *)
-end
-
-(** Derive the fast interface from any policy by encoding the boxed
-    outcome — the generic fallback for policies without a native
-    allocation-free path. *)
-module Fast_of (P : S) : Fast with type t = P.t
 
 (** A policy instance with its state captured, for heterogeneous
     collections (the experiment driver sweeps over policies). *)
@@ -90,21 +80,13 @@ type instance = {
   size : unit -> int;
   mem : int -> bool;
   access : int -> outcome;
-  access_fast : int -> int;
-      (** Same state evolution as [access], encoded per
-          {!fast_of_outcome}. *)
+  access_fast : int -> int;  (** The policy's own {!S.access_fast}. *)
   remove : int -> bool;
   resident : unit -> int list;
 }
 
 val instantiate :
   (module S) -> ?rng:Atp_util.Prng.t -> capacity:int -> unit -> instance
-(** [access_fast] goes through {!Fast_of}, i.e. it still allocates
-    internally; use {!instantiate_fast} with a native {!Fast} policy
-    for the allocation-free path. *)
-
-val instantiate_fast :
-  (module Fast) -> ?rng:Atp_util.Prng.t -> capacity:int -> unit -> instance
 
 val evicted : outcome -> int option
 (** [None] on a hit or free fill. *)

@@ -30,6 +30,8 @@ let access t page =
     Policy.Miss { evicted }
   end
 
+let access_fast t page = Policy.fast_of_outcome (access t page)
+
 let remove t page =
   match Slots.slot_of_page t.slots page with
   | None -> false

@@ -26,32 +26,3 @@ let find_exn name =
     invalid_arg
       (Printf.sprintf "unknown policy %S (known: %s)" name
          (String.concat ", " names))
-
-(* Policies with a hand-written allocation-free access path; everything
-   else goes through the Policy.Fast_of encoding wrapper, so every
-   policy has a Fast view and the fused simulator can host any of
-   them — only these three get the specialized inner loop. *)
-let all_fast : (module Policy.Fast) list =
-  [ (module Lru); (module Fifo); (module Two_q) ]
-
-let native_fast_names =
-  List.map (fun (module P : Policy.Fast) -> P.name) all_fast
-
-let find_fast name =
-  match
-    List.find_opt (fun (module P : Policy.Fast) -> String.equal P.name name)
-      all_fast
-  with
-  | Some p -> Some p
-  | None ->
-    Option.map
-      (fun (module P : Policy.S) -> (module Policy.Fast_of (P) : Policy.Fast))
-      (find name)
-
-let find_fast_exn name =
-  match find_fast name with
-  | Some p -> p
-  | None ->
-    invalid_arg
-      (Printf.sprintf "unknown policy %S (known: %s)" name
-         (String.concat ", " names))

@@ -12,15 +12,3 @@ val find_exn : string -> (module Policy.S)
 (** Raises [Invalid_argument] with the list of known names.
 
     @raise Invalid_argument on an unknown policy name. *)
-
-val native_fast_names : string list
-(** Policies whose [access_fast] is hand-written (allocation-free)
-    rather than derived through {!Policy.Fast_of}. *)
-
-val find_fast : string -> (module Policy.Fast) option
-(** Every registered policy, viewed through {!Policy.Fast}: native for
-    {!native_fast_names}, the boxed-outcome encoding wrapper for the
-    rest. *)
-
-val find_fast_exn : string -> (module Policy.Fast)
-(** @raise Invalid_argument on an unknown policy name. *)

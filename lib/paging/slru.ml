@@ -60,6 +60,8 @@ let access t page =
     Policy.Miss { evicted }
   end
 
+let access_fast t page = Policy.fast_of_outcome (access t page)
+
 let remove t page =
   Page_list.remove t.probation page || Page_list.remove t.protected_ page
 

@@ -4,6 +4,6 @@
     to [Am] only when re-referenced after falling out of [A1in], which
     filters single-scan pollution. *)
 
-include Policy.Fast
+include Policy.S
 (** [access_fast] is native (allocation-free); [access] is its boxed
     view. *)

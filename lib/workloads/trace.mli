@@ -101,8 +101,7 @@ module Stream : sig
       [buf] is the reader's {e reused} full-size buffer and only its
       first [n] elements are valid.  Zero-copy and allocation-free per
       chunk ({!next_chunk} allocates a sub view and an option each
-      call): the fused replay core consumes traces this way.  [buf]'s
-      contents are invalid after [f] returns.
+      call).  [buf]'s contents are invalid after [f] returns.
       @raise Parse_error on a truncated or corrupt frame. *)
 
   val read_into : reader -> int array -> int -> int -> int

@@ -74,13 +74,17 @@ let totals_testable =
   in
   Alcotest.testable pp eq
 
+(* Exact sequential replay is the one-epoch configuration. *)
 let sequential ~policy trace =
-  Engine.replay_sequential ~make_sim:(make_sim ~policy)
+  Engine.replay
+    ~config:
+      { Engine.shards = 1; epoch_len = max 1 (Array.length trace); warmup = 0 }
+    ~make_sim:(make_sim ~policy)
     (Engine.source_of_array trace)
 
 let sharded ~policy ~epoch_len ~warmup trace =
   Engine.replay
-    ~config:{ Engine.shards; epoch_len; warmup; domains = None }
+    ~config:{ Engine.shards; epoch_len; warmup }
     ~make_sim:(make_sim ~policy)
     (Engine.source_of_array trace)
 
@@ -99,6 +103,12 @@ let test_exact_full_warmup () =
       List.iter
         (fun policy ->
           let seq = sequential ~policy trace in
+          check totals_testable
+            (Printf.sprintf "%s/%s one epoch = Simulation.run" wname policy)
+            (Engine.add_report Engine.empty_totals
+               (Simulation.run (make_sim ~policy ()) trace)
+               ~warmup_len:0)
+            seq;
           let sh = sharded ~policy ~epoch_len:1_500 ~warmup:n trace in
           check totals_testable
             (Printf.sprintf "%s/%s full-warmup sharded = sequential" wname
@@ -179,7 +189,7 @@ let test_shards_invariant () =
   let trace = trace_of ~seed:3 ~n "bimodal" in
   let run shards =
     Engine.replay
-      ~config:{ Engine.shards; epoch_len = 1_000; warmup = 1_000; domains = None }
+      ~config:{ Engine.shards; epoch_len = 1_000; warmup = 1_000 }
       ~make_sim:(make_sim ~policy:"lru")
       (Engine.source_of_array trace)
   in
@@ -204,10 +214,9 @@ let test_stream_source_equivalence () =
       let from_mem = sharded ~policy:"lru" ~epoch_len:2_000 ~warmup:2_000 trace in
       let from_file =
         Engine.replay
-          ~config:
-            { Engine.shards; epoch_len = 2_000; warmup = 2_000; domains = None }
+          ~config:{ Engine.shards; epoch_len = 2_000; warmup = 2_000 }
           ~make_sim:(make_sim ~policy:"lru")
-          (Trace.Stream.source path)
+          (Engine.source_of_stream path)
       in
       check totals_testable "file stream = array stream" from_mem from_file)
 
@@ -457,9 +466,9 @@ let test_tenant_ragged_partitions () =
       List.iter
         (fun policy ->
           let seq =
-            Engine.replay_tenants_sequential
-              ~make_sim:(make_tenant_sim ~policy)
-              (tenant_source_of events)
+            Engine.replay_tenants ~shards:1
+              ~make_sim:(make_tenant_sim ~policy) (fun () ->
+                tenant_source_of events)
           in
           List.iter
             (fun shard_count ->
@@ -471,7 +480,7 @@ let test_tenant_ragged_partitions () =
               check (Alcotest.list tenant_report_t)
                 (Printf.sprintf "%s: %s, %d shards" name policy shard_count)
                 seq sharded)
-            [ 1; 2; 4; 8; shards ])
+            [ 2; 4; 8; shards ])
         policies)
     ragged_streams
 
@@ -485,9 +494,9 @@ let test_tenant_replay_validation () =
   Alcotest.check_raises "negative tenant id"
     (Invalid_argument "Engine: negative tenant id") (fun () ->
       ignore
-        (Engine.replay_tenants_sequential
-           ~make_sim:(make_tenant_sim ~policy:"lru")
-           (tenant_source_of [| Engine.Taccess { tenant = -1; page = 0 } |])))
+        (Engine.replay_tenants ~shards:1
+           ~make_sim:(make_tenant_sim ~policy:"lru") (fun () ->
+             tenant_source_of [| Engine.Taccess { tenant = -1; page = 0 } |])))
 
 let () =
   Alcotest.run "engine"

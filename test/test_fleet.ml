@@ -1,7 +1,7 @@
 (* The fleet differential harness: tenant-sharded parallel replay must
    be byte-identical to interleaved sequential replay — per-tenant
-   reports AND obs snapshots — across policies, shard counts, and the
-   generic/fused simulator pair; tenants must be perfectly isolated;
+   reports AND obs snapshots — across policies and shard counts;
+   tenants must be perfectly isolated;
    counters must be conserved; and a 100k-tenant churn run must
    complete in O(active-tenant) memory with zero ASID leaks. *)
 
@@ -32,26 +32,18 @@ let shard_counts = [ 1; 2; 4; 8 ]
    schedule. *)
 let make_sim ~policy tenant =
   let x =
-    Policy.instantiate_fast
-      (Registry.find_fast_exn policy)
+    Policy.instantiate
+      (Registry.find_exn policy)
       ~rng:(Prng.create ~seed:(11 + tenant) ())
       ~capacity:16 ()
   in
   let y =
-    Policy.instantiate_fast
-      (Registry.find_fast_exn policy)
+    Policy.instantiate
+      (Registry.find_exn policy)
       ~rng:(Prng.create ~seed:(13 + tenant) ())
       ~capacity:64 ()
   in
   Simulation.create ~seed:(7 + tenant) ~params ~x ~y ()
-
-let make_fused ~policy tenant =
-  Sim_fused.for_names ~seed:(7 + tenant) ~params ~x_name:policy
-    ~x_capacity:16
-    ~x_rng:(Prng.create ~seed:(11 + tenant) ())
-    ~y_name:policy ~y_capacity:64
-    ~y_rng:(Prng.create ~seed:(13 + tenant) ())
-    ()
 
 let spec =
   Mix.spec ~name:"fleet-mix" ~weights:[| 0.7; 0.3 |]
@@ -89,7 +81,7 @@ let source_of_events events =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Differential: sharded = sequential, generic = fused                 *)
+(* Differential: sharded = sequential (the one-shard pass)              *)
 (* ------------------------------------------------------------------ *)
 
 let test_sharded_matches_sequential () =
@@ -97,9 +89,8 @@ let test_sharded_matches_sequential () =
     (fun policy ->
       let reg_seq = Obs.Registry.create () in
       let seq =
-        Engine.replay_tenants_sequential
-          ~obs:(Obs.Scope.v reg_seq)
-          ~make_sim:(make_sim ~policy) (make_source ())
+        Engine.replay_tenants ~obs:(Obs.Scope.v reg_seq) ~shards:1
+          ~make_sim:(make_sim ~policy) make_source
       in
       check Alcotest.bool
         (policy ^ ": some tenants reported")
@@ -121,47 +112,10 @@ let test_sharded_matches_sequential () =
         shard_counts)
     policies
 
-let test_fused_matches_generic () =
-  List.iter
-    (fun policy ->
-      let reg_gen = Obs.Registry.create () in
-      let generic =
-        Engine.replay_tenants_sequential
-          ~obs:(Obs.Scope.v reg_gen)
-          ~make_sim:(make_sim ~policy) (make_source ())
-      in
-      let reg_fus = Obs.Registry.create () in
-      let fused_seq =
-        Engine.replay_tenants_sequential_fused
-          ~obs:(Obs.Scope.v reg_fus)
-          ~make_fused:(make_fused ~policy) (make_source ())
-      in
-      check
-        (Alcotest.list tenant_report_t)
-        (policy ^ ": fused sequential")
-        generic fused_seq;
-      check Alcotest.string
-        (policy ^ ": fused sequential (obs snapshot)")
-        (Obs.Registry.snapshot_string reg_gen)
-        (Obs.Registry.snapshot_string reg_fus);
-      List.iter
-        (fun shards ->
-          let fused_sh =
-            Engine.replay_tenants_fused ~shards ~make_fused:(make_fused ~policy)
-              make_source
-          in
-          check
-            (Alcotest.list tenant_report_t)
-            (Printf.sprintf "%s: fused, %d shards" policy shards)
-            generic fused_sh)
-        shard_counts)
-    policies
-
 let test_tenant_totals_shard_invariant () =
   let policy = "lru" in
   let seq =
-    Engine.replay_tenants_sequential ~make_sim:(make_sim ~policy)
-      (make_source ())
+    Engine.replay_tenants ~shards:1 ~make_sim:(make_sim ~policy) make_source
   in
   let t0 = Engine.tenant_totals seq in
   List.iter
@@ -206,8 +160,8 @@ let prop_tenant_isolation =
       let events = events_of_ops ops in
       let arr = Array.of_list events in
       let full =
-        Engine.replay_tenants_sequential ~make_sim:(make_sim ~policy:"lru")
-          (source_of_events arr)
+        Engine.replay_tenants ~shards:1 ~make_sim:(make_sim ~policy:"lru")
+          (fun () -> source_of_events arr)
       in
       List.for_all
         (fun tenant ->
@@ -215,8 +169,8 @@ let prop_tenant_isolation =
             Array.of_list (List.filter (fun e -> tenant_of e = tenant) events)
           in
           let solo =
-            Engine.replay_tenants_sequential ~make_sim:(make_sim ~policy:"lru")
-              (source_of_events mine)
+            Engine.replay_tenants ~shards:1 ~make_sim:(make_sim ~policy:"lru")
+              (fun () -> source_of_events mine)
           in
           List.filter (fun r -> r.Engine.tenant = tenant) full = solo)
         [ 0; 1; 2; 3 ])
@@ -457,7 +411,6 @@ let () =
         [
           Alcotest.test_case "sharded = sequential (reports + obs)" `Quick
             test_sharded_matches_sequential;
-          Alcotest.test_case "fused = generic" `Quick test_fused_matches_generic;
           Alcotest.test_case "totals shard-invariant" `Quick
             test_tenant_totals_shard_invariant;
         ] );

@@ -11,9 +11,9 @@
    - differential replay: for every committed corpus file under
      test/traces, import -> ATPS -> replay must be byte-identical (cost
      report and obs snapshot) to replaying an independent in-memory
-     reference decode of the same file, across lru/fifo/2q, shard
-     counts 1 and ATP_SHARDS, and both the generic and fused engine
-     paths;
+     reference decode of the same file, across lru/fifo/2q and shard
+     counts 1/2/4/8 (plus ATP_SHARDS), and every shard count must match
+     the one-shard replay;
 
    - streaming: importing a ~1M-reference trace must keep peak heap
      growth O(chunk), and the format sniffer must classify hex address
@@ -35,10 +35,11 @@ let check = Alcotest.check
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
-let max_shards =
+(* 1/2/4/8, plus ATP_SHARDS when set (CI reruns this suite at 4). *)
+let shard_counts =
   match Option.bind (Sys.getenv_opt "ATP_SHARDS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 4
+  | Some n when n >= 1 -> List.sort_uniq Int.compare [ 1; 2; 4; 8; n ]
+  | Some _ | None -> [ 1; 2; 4; 8 ]
 
 let with_temp f =
   let path = Filename.temp_file "atp_import" ".tmp" in
@@ -227,13 +228,6 @@ let make_sim ~policy () =
   let y = Policy.instantiate p ~rng:(Prng.create ~seed:13 ()) ~capacity:16 () in
   Simulation.create ~seed:7 ~params ~x ~y ()
 
-let make_fused ~policy () =
-  Sim_fused.for_names ~seed:7 ~params ~x_name:policy ~x_capacity:8
-    ~x_rng:(Prng.create ~seed:11 ())
-    ~y_name:policy ~y_capacity:16
-    ~y_rng:(Prng.create ~seed:13 ())
-    ()
-
 let totals_str t = Format.asprintf "%a" Engine.pp_totals t
 
 (* Byte-identical: the rendered cost report strings and the obs
@@ -247,7 +241,7 @@ let check_same_replay label (t_file, obs_file) (t_ref, obs_ref) =
   check Alcotest.string (label ^ ": obs snapshot") obs_ref obs_file
 
 let engine_config ~shards =
-  { Engine.shards; epoch_len = 32; warmup = 32; domains = None }
+  { Engine.shards; epoch_len = 32; warmup = 32 }
 
 let test_corpus_differential () =
   List.iter
@@ -258,54 +252,49 @@ let test_corpus_differential () =
           ignore (Import.import_file ~config ~format ~src:path ~dst ());
           List.iter
             (fun policy ->
+              let run ~config source =
+                let reg = Obs.Registry.create () in
+                let t =
+                  Engine.replay
+                    ~obs:(Obs.Scope.v reg)
+                    ~config ~make_sim:(make_sim ~policy) source
+                in
+                (t, Obs.Registry.snapshot_string reg)
+              in
+              let one_shard =
+                run ~config:(engine_config ~shards:1)
+                  (Engine.source_of_array expect)
+              in
               List.iter
                 (fun shards ->
                   let label =
                     Printf.sprintf "%s/%s/shards=%d" path policy shards
                   in
-                  let run source =
-                    let reg = Obs.Registry.create () in
-                    let t =
-                      Engine.replay
-                        ~obs:(Obs.Scope.v reg)
-                        ~config:(engine_config ~shards)
-                        ~make_sim:(make_sim ~policy) source
-                    in
-                    (t, Obs.Registry.snapshot_string reg)
-                  in
-                  check_same_replay (label ^ " generic")
-                    (run (Trace.Stream.source dst))
-                    (run (Engine.source_of_array expect));
-                  let run_fused bs =
-                    let reg = Obs.Registry.create () in
-                    let t =
-                      Engine.replay_fused
-                        ~obs:(Obs.Scope.v reg)
-                        ~config:(engine_config ~shards)
-                        ~make_fused:(make_fused ~policy) bs
-                    in
-                    (t, Obs.Registry.snapshot_string reg)
-                  in
-                  check_same_replay (label ^ " fused")
-                    (run_fused (Engine.block_source_of_stream dst))
-                    (run_fused (Engine.block_source_of_array expect));
-                  (* and fused = generic on the same imported file *)
-                  check_same_replay (label ^ " fused=generic")
-                    (run_fused (Engine.block_source_of_stream dst))
-                    (run (Trace.Stream.source dst)))
-                [ 1; max_shards ])
-            policies;
-          (* the fully fused streaming path once per file *)
-          let seq_file =
-            Engine.replay_stream_fused ~make_fused:(make_fused ~policy:"lru") dst
-          in
-          let seq_ref =
-            Engine.replay_sequential_fused
-              ~make_fused:(make_fused ~policy:"lru")
-              (Engine.block_source_of_array expect)
-          in
-          check Alcotest.string (path ^ ": stream-fused sequential")
-            (totals_str seq_ref) (totals_str seq_file)))
+                  let config = engine_config ~shards in
+                  let from_file = run ~config (Engine.source_of_stream dst) in
+                  check_same_replay (label ^ " file = array") from_file
+                    (run ~config (Engine.source_of_array expect));
+                  check_same_replay (label ^ " = 1 shard") from_file one_shard)
+                shard_counts;
+              (* One epoch, no warm-up: the exact sequential replay. *)
+              let whole, _ =
+                run
+                  ~config:
+                    {
+                      Engine.shards = 1;
+                      epoch_len = Array.length expect;
+                      warmup = 0;
+                    }
+                  (Engine.source_of_stream dst)
+              in
+              check Alcotest.string
+                (Printf.sprintf "%s/%s: one epoch = Simulation.run" path policy)
+                (totals_str
+                   (Engine.add_report Engine.empty_totals
+                      (Simulation.run (make_sim ~policy ()) expect)
+                      ~warmup_len:0))
+                (totals_str whole))
+            policies))
     corpus
 
 (* ------------------------------------------------------------------ *)
@@ -739,8 +728,8 @@ let () =
         [
           Alcotest.test_case "import = independent reference decode" `Quick
             test_corpus_decode;
-          Alcotest.test_case "differential replay (generic+fused, 1/N shards)"
-            `Quick test_corpus_differential;
+          Alcotest.test_case "differential replay (1/2/4/8 shards)" `Quick
+            test_corpus_differential;
         ] );
       ( "semantics",
         [

@@ -320,53 +320,6 @@ let test_hierarchy_obs_matches_stats () =
   check Alcotest.int "latency histogram count" (Hierarchy.lookups h)
     (Obs.Histogram.count (Obs.Registry.histogram reg "hier.lookup_cycles"))
 
-(* --- Instrumented policies ------------------------------------------ *)
-
-let test_instrumented_wrap_matches_sim () =
-  let reg = Obs.Registry.create () in
-  let inst =
-    Instrumented.wrap
-      ~obs:(Obs.Scope.v ~prefix:"policy" reg)
-      (Policy.instantiate (module Lru) ~capacity:8 ())
-  in
-  let rng = Prng.create ~seed:23 () in
-  let trace = Array.init 1_000 (fun _ -> Prng.int rng 32) in
-  let stats = Sim.run inst trace in
-  check Alcotest.int "accesses" stats.Sim.accesses
-    (counter_value reg "policy.accesses");
-  check Alcotest.int "hits" stats.Sim.hits (counter_value reg "policy.hits");
-  check Alcotest.int "misses" stats.Sim.misses
-    (counter_value reg "policy.misses");
-  check Alcotest.int "evictions" stats.Sim.evictions
-    (counter_value reg "policy.evictions")
-
-let test_instrumented_make_is_transparent () =
-  let module M = Instrumented.Make (Lru) in
-  let reg = Obs.Registry.create () in
-  let t =
-    M.create_observed ~obs:(Obs.Scope.v ~prefix:"lru" reg) ~capacity:2 ()
-  in
-  check Alcotest.string "name preserved" Lru.name M.name;
-  ignore (M.access t 1);
-  ignore (M.access t 2);
-  ignore (M.access t 1);
-  ignore (M.access t 3);
-  check Alcotest.int "capacity" 2 (M.capacity t);
-  check Alcotest.int "size" 2 (M.size t);
-  check Alcotest.bool "mem" true (M.mem t 3);
-  check Alcotest.int "accesses" 4 (counter_value reg "lru.accesses");
-  check Alcotest.int "hits" 1 (counter_value reg "lru.hits");
-  check Alcotest.int "misses" 3 (counter_value reg "lru.misses");
-  check Alcotest.int "evictions" 1 (counter_value reg "lru.evictions");
-  (* The same behaviour as the unwrapped policy. *)
-  let plain = Policy.instantiate (module Lru) ~capacity:2 () in
-  List.iter (fun p -> ignore (plain.Policy.access p)) [ 1; 2; 1; 3 ];
-  check
-    (Alcotest.list Alcotest.int)
-    "resident set matches plain LRU"
-    (List.sort compare (plain.Policy.resident ()))
-    (List.sort compare (M.resident t))
-
 let () =
   Alcotest.run "obs"
     [
@@ -414,12 +367,5 @@ let () =
             test_simulation_obs_matches_report;
           Alcotest.test_case "walker" `Quick test_walker_obs_matches_stats;
           Alcotest.test_case "hierarchy" `Quick test_hierarchy_obs_matches_stats;
-        ] );
-      ( "instrumented",
-        [
-          Alcotest.test_case "wrap matches sim" `Quick
-            test_instrumented_wrap_matches_sim;
-          Alcotest.test_case "make transparent" `Quick
-            test_instrumented_make_is_transparent;
         ] );
     ]

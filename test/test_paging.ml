@@ -300,6 +300,31 @@ let test_registry () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* --- access_fast = access for every registered policy --------------- *)
+
+let prop_access_fast_equals_access =
+  QCheck.Test.make ~count:60
+    ~name:"mirrors access, every policy"
+    QCheck.(
+      triple (int_range 1 24) (int_range 2 60)
+        (list_of_size Gen.(int_range 1 300) (int_bound 1000)))
+    (fun (capacity, universe, pages) ->
+      let trace = List.map (fun p -> p mod universe) pages in
+      List.for_all
+        (fun name ->
+          let fresh () =
+            Policy.instantiate (Registry.find_exn name)
+              ~rng:(Prng.create ~seed:5 ())
+              ~capacity ()
+          in
+          let boxed = fresh () and fast = fresh () in
+          List.for_all
+            (fun page ->
+              boxed.Policy.access page
+              = Policy.outcome_of_fast (fast.Policy.access_fast page))
+            trace)
+        Registry.names)
+
 let () =
   Alcotest.run "atp.paging"
     (List.map generic_suite all_policies
@@ -331,4 +356,5 @@ let () =
             Alcotest.test_case "seq matches array" `Quick test_sim_seq_matches_array;
             Alcotest.test_case "registry" `Quick test_registry;
           ] );
+        ("access_fast", qsuite [ prop_access_fast_equals_access ]);
       ])
