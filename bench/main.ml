@@ -210,7 +210,7 @@ let figure_sweep ~name ~exp ~ram ~tlb_entries ~warmup ~trace () =
           Machine.create
             ~obs:(Obs.Scope.v ~prefix:(Printf.sprintf "machine.h%d" h) reg)
             { Machine.default_config with
-              ram_pages = ram; tlb_entries; huge_size = h; epsilon }
+              ram_pages = ram; tlb_entries; huge_size = h }
         in
         machine_data (Machine.run ~warmup m trace))
   in
@@ -655,7 +655,7 @@ let hybrid () =
             ("coverage", Json.Int r.Hybrid.coverage);
             ("ios", Json.Int r.Hybrid.ios);
             ("tlb_misses", Json.Int r.Hybrid.tlb_fills);
-            ("cost", Json.Float (Hybrid.cost ~epsilon r));
+            ("cost", Json.Float (Obs.Cost.price ~epsilon (Hybrid.ledger r)));
           ])
   in
   (* Physical huge pages with coverage comparable to chunk=16. *)
@@ -844,7 +844,7 @@ let thp () =
                   ("ios", Json.Int c.Thp.ios);
                   ("tlb_misses", Json.Int c.Thp.tlb_misses);
                   ("promotions", Json.Int c.Thp.promotions);
-                  ("cost", Json.Float (Thp.cost ~epsilon c));
+                  ("cost", Json.Float (Obs.Cost.price ~epsilon (Thp.ledger c)));
                   ("fill_ios", Json.Int c.Thp.promotion_fill_ios);
                   ("compaction", Json.Int c.Thp.compaction_evictions);
                 ])
@@ -855,8 +855,7 @@ let thp () =
               let warmup, trace = traces mk in
               let sp =
                 Superpage.create
-                  { Superpage.default_config with
-                    ram_pages = ram; base_tlb_entries = 1536;
+                  { Superpage.ram_pages = ram; base_tlb_entries = 1536;
                     huge_tlb_entries = 16; huge_size = 512 }
               in
               let c = Superpage.run ~warmup sp trace in
@@ -865,7 +864,8 @@ let thp () =
                   ("ios", Json.Int c.Superpage.ios);
                   ("tlb_misses", Json.Int c.Superpage.tlb_misses);
                   ("promotions", Json.Int c.Superpage.promotions);
-                  ("cost", Json.Float (Superpage.cost ~epsilon c));
+                  ( "cost",
+                    Json.Float (Obs.Cost.price ~epsilon (Superpage.ledger c)) );
                   ("preemptions", Json.Int c.Superpage.preemptions);
                   ("waste", Json.Int (Superpage.reserved_unused_frames sp));
                 ])
@@ -1702,9 +1702,10 @@ let engine_exp () =
         (totals, Float.min w1 (Float.min w2 w3))
       in
       let baseline, seq_wall = best_of_3 sequential in
-      let base_cost = Engine.cost ~epsilon baseline in
+      let cost t = Obs.Cost.price ~epsilon (Engine.ledger t) in
+      let base_cost = cost baseline in
       let row (t : Engine.totals) ~wall =
-        let cost = Engine.cost ~epsilon t in
+        let cost = cost t in
         let rel_err =
           if base_cost = 0. then 0. else abs_float (cost -. base_cost) /. base_cost
         in
@@ -1794,11 +1795,7 @@ let reach () =
   let tlb_entries = 512 in
   let tcache_entries = 4096 in
   let tcache_latency = Walker.default_config.Walker.tcache_latency in
-  let tcache_epsilon =
-    epsilon *. float_of_int tcache_latency
-    /. float_of_int
-         (Page_table.levels * Walker.default_config.Walker.memory_latency)
-  in
+  let tcache_epsilon = Walker.tcache_epsilon ~epsilon ~tcache_latency in
   let warmup_n = scale_down 400_000 and measure_n = scale_down 400_000 in
   let workloads =
     [
@@ -1820,19 +1817,24 @@ let reach () =
           Simple.zipf ~s:0.9 ~virtual_pages:(1 lsl 17) rng );
     ]
   in
+  (* Every row prices its machine's ledger the same way; [extra]
+     columns sit between the counts and the cost. *)
+  let ledger_row ?(extra = []) (l : Obs.Cost.t) =
+    Json.Obj
+      ([
+         ("ios", Json.Int l.ios);
+         ("tlb_events", Json.Int l.tlb);
+         ("cheap_events", Json.Int l.cheap);
+       ]
+      @ extra
+      @ [ ("cost", Json.Float (Obs.Cost.price ~tcache_epsilon ~epsilon l)) ])
+  in
   let scheme_task ~wname ~mk ~key scheme_of =
     Spec.task ~key:(wname ^ "/" ^ key) (fun _reg ->
         let w = mk 1 in
         let warmup = Workload.generate w warmup_n in
         let trace = Workload.generate w measure_n in
-        let s = Scheme.run ~warmup (scheme_of ()) trace in
-        Json.Obj
-          [
-            ("ios", Json.Int (s.Scheme.ios ()));
-            ("tlb_events", Json.Int (s.Scheme.tlb_events ()));
-            ("cheap_events", Json.Int (s.Scheme.cheap_events ()));
-            ("cost", Json.Float (Scheme.cost ~tcache_epsilon ~epsilon s));
-          ])
+        ledger_row ((Scheme.run ~warmup (scheme_of ()) trace).Scheme.ledger ()))
   in
   let workload_tasks =
     List.concat_map
@@ -1879,19 +1881,17 @@ let reach () =
                 ram_pages = 1 lsl 12;
                 tlb_entries_per_core = 96;
                 tcache_entries = tc;
-                tcache_epsilon;
               }
             in
             let c = Smp.run_shared ~warmup (Smp.create cfg) trace in
-            Json.Obj
-              [
-                ("ios", Json.Int c.Smp.ios);
-                ("tlb_events", Json.Int (c.Smp.tlb_misses - c.Smp.tcache_hits));
-                ("cheap_events", Json.Int c.Smp.tcache_hits);
-                ("ipis", Json.Int c.Smp.ipis);
-                ("shootdowns", Json.Int c.Smp.shootdown_events);
-                ("cost", Json.Float (Smp.cost cfg c));
-              ]))
+            let l = Smp.ledger c in
+            ledger_row
+              ~extra:
+                [
+                  ("ipis", Json.Int l.ipis);
+                  ("shootdowns", Json.Int c.Smp.shootdown_events);
+                ]
+              l))
       [ ("base", 0); ("reach", tcache_entries) ]
   in
   let outcomes =
@@ -1974,7 +1974,6 @@ let fleet_exp () =
       ram_frames = 2_048;
       asid_bits = 8;
       page_bits = 20;
-      epsilon;
     }
   in
   let fair_row (f : Fleet.fairness) ~extra ~wall =

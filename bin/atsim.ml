@@ -29,6 +29,18 @@ let exit_usage = 2
 
 let exit_bad_input = 3
 
+(* The codes above, for every command's EXIT STATUS section in place of
+   cmdliner's defaults: main turns cmdliner's 124 into 2, and no
+   command returns its 123. *)
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success.";
+      info exit_usage ~doc:"on command line usage errors.";
+      info exit_bad_input ~doc:"on a malformed input file.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -47,9 +59,21 @@ let tlb_arg =
     value & opt int 1536
     & info [ "tlb" ] ~docv:"ENTRIES" ~doc:"TLB entry count (the paper uses 1536).")
 
+(* Prices and cycle counts must be finite and >= 0: anything else is a
+   usage error, never a cost computed from it. *)
+let non_negative conv ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+      Error (`Msg ("invalid value '" ^ s ^ "', expected a finite number >= 0"))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
 let epsilon_arg =
   Arg.(
-    value & opt float 0.01
+    value
+    & opt (non_negative float (fun e -> Float.is_finite e && e >= 0.0)) 0.01
     & info [ "epsilon" ] ~docv:"E" ~doc:"TLB-miss cost ε in the AT cost model.")
 
 let tcache_entries_arg =
@@ -63,22 +87,13 @@ let tcache_entries_arg =
 
 let tcache_latency_arg =
   Arg.(
-    value & opt int 30
+    value & opt (non_negative int (fun c -> c >= 0)) 30
     & info [ "tcache-latency" ] ~docv:"CYCLES"
         ~doc:
           "Cycles for a cache-hierarchy translation probe.  In the abstract \
            cost model a recovered miss is billed \
            ε·CYCLES/(levels·memory-latency) — its cost relative to a full \
            radix walk.")
-
-(* A recovered miss costs a cache probe instead of a full radix walk;
-   scale ε by that ratio so --tcache-latency means the same thing in
-   the cycle-accurate walker and the abstract model. *)
-let tcache_epsilon ~epsilon ~tcache_latency =
-  let walk_cycles =
-    Page_table.levels * Walker.default_config.Walker.memory_latency
-  in
-  min epsilon (epsilon *. float_of_int tcache_latency /. float_of_int walk_cycles)
 
 let accesses_arg =
   Arg.(
@@ -230,7 +245,8 @@ let params_cmd =
     Format.printf "%a@." Params.pp params
   in
   Cmd.v
-    (Cmd.info "params" ~doc:"Print the derived decoupling-scheme parameters.")
+    (Cmd.info ~exits "params"
+       ~doc:"Print the derived decoupling-scheme parameters.")
     Term.(const run $ ram_arg $ w_arg $ scheme_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -262,7 +278,7 @@ let sweep_cmd =
       prerr_endline "atsim: --resume requires --json PATH";
       exit exit_usage
     end;
-    let tc_eps = tcache_epsilon ~epsilon ~tcache_latency:tc_latency in
+    let tc_eps = Walker.tcache_epsilon ~epsilon ~tcache_latency:tc_latency in
     (* Under the runner every size is a task with a private metric
        registry, so the sweep parallelizes and a killed run resumes.
        Event tracing shares one ring across tasks, which forces
@@ -282,7 +298,7 @@ let sweep_cmd =
             Machine.create
               ~obs:(Obs.Scope.v ~prefix:(Printf.sprintf "machine.h%d" h) reg)
               { Machine.default_config with
-                ram_pages = ram; tlb_entries = tlb; huge_size = h; epsilon;
+                ram_pages = ram; tlb_entries = tlb; huge_size = h;
                 tcache_entries = tc_entries }
           in
           let c = Machine.run ~warmup:warmup_trace m trace in
@@ -300,9 +316,8 @@ let sweep_cmd =
             @ [
                 ( "cost",
                   Obs.Json.Float
-                    (if tc_entries > 0 then
-                       Machine.cost_with_reach ~epsilon ~tcache_epsilon:tc_eps c
-                     else Machine.cost ~epsilon c) );
+                    (Obs.Cost.price ~tcache_epsilon:tc_eps ~epsilon
+                       (Machine.ledger c)) );
               ]))
     in
     let sizes =
@@ -386,7 +401,7 @@ let sweep_cmd =
     Option.iter (fun path -> Obs.Trace.write_jsonl path tracer) trace_out
   in
   Cmd.v
-    (Cmd.info "sweep"
+    (Cmd.info ~exits "sweep"
        ~doc:"Huge-page-size sweep (the Figure 1 experiment) on a workload.")
     Term.(
       const run $ workload_arg $ vpages_arg $ ram_arg $ tlb_arg $ epsilon_arg
@@ -494,7 +509,7 @@ let decoupled_cmd =
         || config.Engine.warmup >= (totals.Engine.epochs - 1) * epoch
       in
       Format.printf "C(Z) = %.2f (epsilon=%g, %s)@."
-        (Engine.cost ~epsilon totals)
+        (Obs.Cost.price ~epsilon (Engine.ledger totals))
         epsilon
         (if exact then "exact: warm-up covered every epoch prefix"
          else
@@ -518,7 +533,7 @@ let decoupled_cmd =
     export_obs reg ~metrics ~trace_out
   in
   Cmd.v
-    (Cmd.info "decoupled"
+    (Cmd.info ~exits "decoupled"
        ~doc:
          "Run the combined memory-management algorithm Z (Theorem 4) on a \
           workload, sequentially or through the sharded streaming engine.")
@@ -557,7 +572,7 @@ let policies_cmd =
       opt "-"
   in
   Cmd.v
-    (Cmd.info "policies" ~doc:"Compare paging policies on a workload.")
+    (Cmd.info ~exits "policies" ~doc:"Compare paging policies on a workload.")
     Term.(
       const run $ workload_arg $ vpages_arg $ accesses_arg $ warmup_arg
       $ seed_arg
@@ -596,7 +611,7 @@ let ballsbins_cmd =
       ]
   in
   Cmd.v
-    (Cmd.info "ballsbins"
+    (Cmd.info ~exits "ballsbins"
        ~doc:"Compare balls-and-bins strategies under a churn adversary.")
     Term.(
       const run
@@ -647,7 +662,7 @@ let trace_gen_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "gen" ~doc:"Generate a page-reference trace file.")
+    (Cmd.info ~exits "gen" ~doc:"Generate a page-reference trace file.")
     Term.(
       const run $ workload_arg $ vpages_arg $ accesses_arg $ seed_arg
       $ Arg.(
@@ -675,7 +690,7 @@ let trace_pack_cmd =
       (Trace.Stream.with_reader dst Trace.Stream.header)
   in
   Cmd.v
-    (Cmd.info "pack"
+    (Cmd.info ~exits "pack"
        ~doc:
          "Convert a trace (text, binary, or streamed) into the streamed \
           chunked format, one chunk resident at a time.")
@@ -703,7 +718,7 @@ let trace_cat_cmd =
     flush stdout
   in
   Cmd.v
-    (Cmd.info "cat"
+    (Cmd.info ~exits "cat"
        ~doc:
          "Print a trace as text, one reference per line (streamed inputs are \
           decoded chunk by chunk).")
@@ -741,7 +756,7 @@ let trace_info_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "info"
+    (Cmd.info ~exits "info"
        ~doc:
          "Print a trace file's format and header, optionally with a hex dump \
           of its first bytes (golden tests pin the on-disk format with it).")
@@ -801,7 +816,7 @@ let trace_import_cmd =
       (Trace.Stream.with_reader dst Trace.Stream.header)
   in
   Cmd.v
-    (Cmd.info "import"
+    (Cmd.info ~exits "import"
        ~doc:
          "Convert an external memory trace (hex address-per-line, valgrind \
           lackey output, or CSV) into the streamed ATPS page-trace format, \
@@ -857,7 +872,7 @@ let trace_import_cmd =
 
 let trace_cmd =
   Cmd.group
-    (Cmd.info "trace"
+    (Cmd.info ~exits "trace"
        ~doc:
          "Generate, pack, import, print, and inspect page-reference trace \
           files.")
@@ -891,7 +906,7 @@ let mrc_cmd =
       (caps 64 [])
   in
   Cmd.v
-    (Cmd.info "mrc"
+    (Cmd.info ~exits "mrc"
        ~doc:"LRU miss-ratio curve of a workload (single-pass Mattson).")
     Term.(const run $ workload_arg $ vpages_arg $ accesses_arg $ seed_arg)
 
@@ -911,10 +926,10 @@ let thp_cmd =
     Format.printf "%a@." Thp.pp_counters c;
     Format.printf "promoted regions now: %d; cost(e=0.01) = %.1f@."
       (Thp.promoted_regions t)
-      (Thp.cost ~epsilon:0.01 c)
+      (Obs.Cost.price ~epsilon:0.01 (Thp.ledger c))
   in
   Cmd.v
-    (Cmd.info "thp"
+    (Cmd.info ~exits "thp"
        ~doc:"Run the transparent-huge-pages OS model on a workload.")
     Term.(
       const run $ workload_arg $ vpages_arg $ ram_arg $ accesses_arg
@@ -991,7 +1006,6 @@ let fleet_cmd =
             Contended.default with
             Contended.tlb_entries = tlb;
             ram_frames = ram;
-            epsilon;
           }
         in
         let qos =
@@ -1046,7 +1060,7 @@ let fleet_cmd =
     export_obs reg ~metrics ~trace_out
   in
   Cmd.v
-    (Cmd.info "fleet"
+    (Cmd.info ~exits "fleet"
        ~doc:
          "Simulate a churning multi-tenant fleet: stochastic arrivals and \
           departures, per-tenant mixed workloads, shared or reserved \
@@ -1103,7 +1117,7 @@ let compare_cmd =
         ]
       else []
     in
-    let tc_eps = tcache_epsilon ~epsilon ~tcache_latency:tc_latency in
+    let tc_eps = Walker.tcache_epsilon ~epsilon ~tcache_latency:tc_latency in
     Format.printf "%-16s %14s %14s %14s@." "scheme" "IOs" "TLB events"
       (Printf.sprintf "cost(e=%g)" epsilon);
     List.iter
@@ -1113,7 +1127,7 @@ let compare_cmd =
          ~epsilon schemes trace)
   in
   Cmd.v
-    (Cmd.info "compare"
+    (Cmd.info ~exits "compare"
        ~doc:
          "Compare every memory-management scheme (physical, THP, superpage, \
           decoupled, hybrid, and — with --tcache-entries — Victima-style \
@@ -1128,7 +1142,7 @@ let compare_cmd =
 
 let () =
   let doc = "Paging and the address-translation problem: simulators and schemes" in
-  let info = Cmd.info "atsim" ~version:"1.0.0" ~doc in
+  let info = Cmd.info ~exits "atsim" ~version:"1.0.0" ~doc in
   (* A malformed trace file is a data error, not an internal one nor a
      usage mistake: any Parse_error that escapes a subcommand exits
      with the malformed-input code (3) and a uniform path: message —
@@ -1149,6 +1163,8 @@ let () =
             fleet_cmd;
             compare_cmd;
           ])
+       (* cmdliner's 124, a flag it cannot parse, is a usage error. *)
+       |> fun code -> if code = Cmd.Exit.cli_error then exit_usage else code
      with
      | Trace.Parse_error { path; what } ->
        Format.eprintf "atsim: %s: %s@." path what;

@@ -29,7 +29,7 @@ let sweep ~name ~ram ~mk_workload =
       let machine =
         Machine.create
           { Machine.default_config with
-            ram_pages = ram; tlb_entries; huge_size = h; epsilon }
+            ram_pages = ram; tlb_entries; huge_size = h }
       in
       let c = Machine.run ~warmup machine trace in
       Format.printf "%8d %12d %12d %12.1f@." h c.Machine.ios c.Machine.tlb_misses

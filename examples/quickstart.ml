@@ -53,7 +53,7 @@ let () =
       let machine =
         Atp_memsim.Machine.create
           { Atp_memsim.Machine.default_config with
-            ram_pages; tlb_entries = 64; huge_size = h; epsilon }
+            ram_pages; tlb_entries = 64; huge_size = h }
       in
       let c = Atp_memsim.Machine.run ~warmup machine trace in
       Format.printf "  h = %4d: %a  cost = %.1f@."

@@ -3,7 +3,8 @@
 
     - {!Util}: PRNG, hashing, bit-packed arrays, samplers, statistics.
     - {!Obs}: the observability layer — metric registry, counters,
-      histograms, ring-buffer event tracing, JSON export.
+      histograms, ring-buffer event tracing, JSON export, and the cost
+      ledger every machine is priced by.
     - {!Paging}: replacement policies, OPT, simulation, miss-ratio
       curves, competitive analysis.
     - {!Ballsbins}: the dynamic balls-and-bins laboratory and the

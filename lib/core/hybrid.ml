@@ -9,9 +9,9 @@ type report = {
   coverage : int;
 }
 
-let cost ~epsilon (r : report) =
-  float_of_int r.ios
-  +. (epsilon *. float_of_int (r.tlb_fills + r.decoding_misses))
+let ledger (r : report) =
+  { Atp_obs.Cost.zero with
+    ios = r.ios; tlb = r.tlb_fills; decode = r.decoding_misses }
 
 type t = {
   chunk : int;

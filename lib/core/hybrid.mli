@@ -20,7 +20,7 @@ type report = {
   coverage : int;  (** base pages covered per TLB entry: [chunk · h_max] *)
 }
 
-val cost : epsilon:float -> report -> float
+val ledger : report -> Atp_obs.Cost.t
 
 type t
 

@@ -4,17 +4,9 @@ open Atp_memsim
 type t = {
   name : string;
   access : int -> unit;
-  ios : unit -> int;
-  tlb_events : unit -> int;
-  cheap_events : unit -> int;
-  decode_misses : unit -> int;
+  ledger : unit -> Atp_obs.Cost.t;
   reset : unit -> unit;
 }
-
-let cost ?(tcache_epsilon = 0.0) ~epsilon t =
-  float_of_int (t.ios ())
-  +. (epsilon *. float_of_int (t.tlb_events () + t.decode_misses ()))
-  +. (tcache_epsilon *. float_of_int (t.cheap_events ()))
 
 let run ?warmup t trace =
   (match warmup with
@@ -24,43 +16,28 @@ let run ?warmup t trace =
   Array.iter t.access trace;
   t
 
-let physical ?(tlb_entries = 1536) ?(seed = 42) ~ram_pages ~huge_size () =
-  let m =
-    Machine.create
-      { Machine.default_config with ram_pages; tlb_entries; huge_size; seed }
-  in
+let machine name cfg =
+  let m = Machine.create cfg in
   {
-    name = Printf.sprintf "physical-%d" huge_size;
+    name;
     access = Machine.access m;
-    ios = (fun () -> (Machine.counters m).Machine.ios);
-    tlb_events = (fun () -> (Machine.counters m).Machine.tlb_misses);
-    cheap_events = (fun () -> 0);
-    decode_misses = (fun () -> 0);
+    ledger = (fun () -> Machine.ledger (Machine.counters m));
     reset = (fun () -> Machine.reset_counters m);
   }
+
+let physical ?(tlb_entries = 1536) ?(seed = 42) ~ram_pages ~huge_size () =
+  machine
+    (Printf.sprintf "physical-%d" huge_size)
+    { Machine.default_config with ram_pages; tlb_entries; huge_size; seed }
 
 let physical_reach ?(tlb_entries = 1536) ?(seed = 42) ~ram_pages ~huge_size
     ~tcache_entries () =
   if tcache_entries < 1 then
     invalid_arg "Scheme.physical_reach: tier needs at least one entry";
-  let m =
-    Machine.create
-      { Machine.default_config with
-        ram_pages; tlb_entries; huge_size; seed; tcache_entries }
-  in
-  {
-    name = Printf.sprintf "reach-%d-tc%d" huge_size tcache_entries;
-    access = Machine.access m;
-    ios = (fun () -> (Machine.counters m).Machine.ios);
-    (* Recovered misses are billed as cheap events, not full ε ones. *)
-    tlb_events =
-      (fun () ->
-        let c = Machine.counters m in
-        c.Machine.tlb_misses - c.Machine.tcache_hits);
-    cheap_events = (fun () -> (Machine.counters m).Machine.tcache_hits);
-    decode_misses = (fun () -> 0);
-    reset = (fun () -> Machine.reset_counters m);
-  }
+  machine
+    (Printf.sprintf "reach-%d-tc%d" huge_size tcache_entries)
+    { Machine.default_config with
+      ram_pages; tlb_entries; huge_size; seed; tcache_entries }
 
 let thp ?(base_tlb_entries = 1536) ?(huge_tlb_entries = 16) ~ram_pages
     ~huge_size () =
@@ -72,10 +49,7 @@ let thp ?(base_tlb_entries = 1536) ?(huge_tlb_entries = 16) ~ram_pages
   {
     name = Printf.sprintf "thp-%d" huge_size;
     access = Thp.access m;
-    ios = (fun () -> (Thp.counters m).Thp.ios);
-    tlb_events = (fun () -> (Thp.counters m).Thp.tlb_misses);
-    cheap_events = (fun () -> 0);
-    decode_misses = (fun () -> 0);
+    ledger = (fun () -> Thp.ledger (Thp.counters m));
     reset = (fun () -> Thp.reset_counters m);
   }
 
@@ -83,16 +57,12 @@ let superpage ?(base_tlb_entries = 1536) ?(huge_tlb_entries = 16) ~ram_pages
     ~huge_size () =
   let m =
     Superpage.create
-      { Superpage.default_config with
-        ram_pages; base_tlb_entries; huge_tlb_entries; huge_size }
+      { Superpage.ram_pages; base_tlb_entries; huge_tlb_entries; huge_size }
   in
   {
     name = Printf.sprintf "superpage-%d" huge_size;
     access = Superpage.access m;
-    ios = (fun () -> (Superpage.counters m).Superpage.ios);
-    tlb_events = (fun () -> (Superpage.counters m).Superpage.tlb_misses);
-    cheap_events = (fun () -> 0);
-    decode_misses = (fun () -> 0);
+    ledger = (fun () -> Superpage.ledger (Superpage.counters m));
     reset = (fun () -> Superpage.reset_counters m);
   }
 
@@ -107,11 +77,7 @@ let decoupled ?(tlb_entries = 1536) ?seed ?(x_policy = (module Lru : Policy.S))
   {
     name = Printf.sprintf "decoupled-h%d" params.Params.h_max;
     access = Simulation.access z;
-    ios = (fun () -> (Simulation.report z).Simulation.ios);
-    tlb_events = (fun () -> (Simulation.report z).Simulation.tlb_fills);
-    cheap_events = (fun () -> 0);
-    decode_misses =
-      (fun () -> (Simulation.report z).Simulation.decoding_misses);
+    ledger = (fun () -> Simulation.ledger (Simulation.report z));
     reset = (fun () -> Simulation.reset_report z);
   }
 
@@ -120,19 +86,16 @@ let hybrid ?(tlb_entries = 1536) ~ram_pages ~chunk ~w () =
   {
     name = Printf.sprintf "hybrid-c%d" chunk;
     access = Hybrid.access h;
-    ios = (fun () -> (Hybrid.report h).Hybrid.ios);
-    tlb_events = (fun () -> (Hybrid.report h).Hybrid.tlb_fills);
-    cheap_events = (fun () -> 0);
-    decode_misses = (fun () -> (Hybrid.report h).Hybrid.decoding_misses);
+    ledger = (fun () -> Hybrid.ledger (Hybrid.report h));
     reset = (fun () -> Hybrid.reset_report h);
   }
 
 let compare_all ?warmup ?tcache_epsilon ~epsilon schemes trace =
   List.map
     (fun scheme ->
-      let scheme = run ?warmup scheme trace in
+      let l = (run ?warmup scheme trace).ledger () in
       ( scheme.name,
-        scheme.ios (),
-        scheme.tlb_events () + scheme.cheap_events (),
-        cost ?tcache_epsilon ~epsilon scheme ))
+        l.Atp_obs.Cost.ios,
+        l.tlb + l.cheap,
+        Atp_obs.Cost.price ?tcache_epsilon ~epsilon l ))
     schemes

@@ -12,20 +12,10 @@
 type t = {
   name : string;
   access : int -> unit;
-  ios : unit -> int;  (** base-page IOs so far *)
-  tlb_events : unit -> int;  (** TLB misses/fills so far (ε-priced) *)
-  cheap_events : unit -> int;
-      (** misses recovered from a cache-resident translation tier
-          (tcache_ε-priced; 0 for schemes without reach extension) *)
-  decode_misses : unit -> int;  (** ε-priced decoding misses (0 for
-                                    schemes without an encoder) *)
+  ledger : unit -> Atp_obs.Cost.t;
+      (** the events so far; price them with {!Atp_obs.Cost.price} *)
   reset : unit -> unit;  (** zero the counters, keep the state *)
 }
-
-val cost : ?tcache_epsilon:float -> epsilon:float -> t -> float
-(** [ios + ε·(tlb_events + decode_misses) + tcache_ε·cheap_events],
-    read from the counters.  [tcache_epsilon] defaults to 0 (cheap
-    events free), which only matters for reach-extended schemes. *)
 
 val run : ?warmup:int array -> t -> int array -> t
 (** Play warmup, reset counters, play the trace; returns the scheme
@@ -45,9 +35,9 @@ val physical_reach :
   t
 (** The Section 6 machine with Victima-style reach extension: a
     cache-resident victim store of [tcache_entries] behind the TLB.
-    Recovered misses surface as [cheap_events]; [tlb_events] counts
-    only full-priced misses, so {!cost} with a [tcache_epsilon] prices
-    the two tiers separately.
+    Recovered misses surface as the ledger's [cheap] events; its [tlb]
+    counts only full-priced misses, so {!Atp_obs.Cost.price} with a
+    [tcache_epsilon] prices the two tiers separately.
 
     @raise Invalid_argument if [tcache_entries < 1]. *)
 
@@ -83,5 +73,7 @@ val compare_all :
   int array ->
   (string * int * int * float) list
 (** Run every scheme on the same trace; returns
-    [(name, ios, tlb_events + cheap_events, cost)] rows (the event
-    column counts every TLB miss, however priced). *)
+    [(name, ios, tlb + cheap, cost)] rows from each ledger (the event
+    column counts every TLB miss, however priced).
+
+    @raise Invalid_argument unless [0 <= tcache_epsilon <= epsilon]. *)

@@ -12,11 +12,14 @@ type report = {
   max_bucket_load : int;
 }
 
-let cost ~epsilon (r : report) =
-  float_of_int r.ios
-  +. (epsilon *. float_of_int (r.tlb_fills + r.decoding_misses))
+let ledger (r : report) =
+  { Obs.Cost.zero with
+    ios = r.ios; tlb = r.tlb_fills; decode = r.decoding_misses }
 
-let c_tlb ~epsilon (r : report) = epsilon *. float_of_int r.tlb_fills
+let cost ~epsilon r = Obs.Cost.price ~epsilon (ledger r)
+
+let c_tlb ~epsilon (r : report) =
+  Obs.Cost.price ~epsilon { Obs.Cost.zero with tlb = r.tlb_fills }
 
 let c_io (r : report) = float_of_int r.ios
 

@@ -25,8 +25,12 @@ type report = {
   max_bucket_load : int;
 }
 
+val ledger : report -> Atp_obs.Cost.t
+(** IOs, TLB fills and decoding misses: the events C(Z, σ) charges. *)
+
 val cost : epsilon:float -> report -> float
-(** [ios + ε·(tlb_fills + decoding_misses)]: C(Z, σ). *)
+(** [Cost.price ~epsilon (ledger r)] = [ios + ε·(tlb_fills +
+    decoding_misses)]: C(Z, σ). *)
 
 val c_tlb : epsilon:float -> report -> float
 (** [ε·tlb_fills]: C_TLB(X, σ). *)

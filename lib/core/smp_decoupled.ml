@@ -111,11 +111,6 @@ let report t =
     psi_update_ipis = t.psi_update_ipis;
   }
 
-let cost ~epsilon ~ipi_epsilon (r : report) =
-  float_of_int r.ios
-  +. (epsilon *. float_of_int (r.tlb_fills + r.decoding_misses))
-  +. (ipi_epsilon *. float_of_int r.psi_update_ipis)
-
 let run_shared ?warmup t trace =
   let n = Array.length t.xs in
   (match warmup with

@@ -14,8 +14,9 @@
     concurrency cost of decoupling, and the benchmarks compare it
     against the shootdown traffic of conventional per-core TLBs.
 
-    Cost model: per-core TLB fills at ε, IOs at 1, decoding misses at
-    ε, remote ψ-update notifications at [ipi_epsilon]. *)
+    Cost model ({!Atp_obs.Cost}): per-core TLB fills at ε, IOs at 1,
+    decoding misses at ε, remote ψ-update notifications at the IPI
+    price. *)
 
 type report = {
   accesses : int;
@@ -50,8 +51,6 @@ val access : t -> core:int -> int -> unit
 (** @raise Invalid_argument on an out-of-range core index. *)
 
 val report : t -> report
-
-val cost : epsilon:float -> ipi_epsilon:float -> report -> float
 
 val run_shared : ?warmup:int array -> t -> int array -> report
 (** Round-robin the trace across cores. *)

@@ -43,9 +43,9 @@ let empty_totals =
     warmup_replayed = 0;
   }
 
-let cost ~epsilon t =
-  float_of_int t.ios
-  +. (epsilon *. float_of_int (t.tlb_fills + t.decoding_misses))
+let ledger t =
+  { Obs.Cost.zero with
+    ios = t.ios; tlb = t.tlb_fills; decode = t.decoding_misses }
 
 let add_report t (r : Simulation.report) ~warmup_len =
   {

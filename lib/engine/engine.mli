@@ -74,10 +74,9 @@ type totals = {
 
 val empty_totals : totals
 
-val cost : epsilon:float -> totals -> float
-(** [ios + epsilon * (tlb_fills + decoding_misses)]: the paper's
-    address-translation cost, same accounting as
-    {!Atp_core.Simulation.cost}. *)
+val ledger : totals -> Atp_obs.Cost.t
+(** IOs, TLB fills and decoding misses: the same events as
+    {!Atp_core.Simulation.ledger}. *)
 
 val add_report : totals -> Atp_core.Simulation.report -> warmup_len:int -> totals
 (** Fold one epoch's report into the running totals (sum counters, max

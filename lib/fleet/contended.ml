@@ -12,12 +12,10 @@ type config = {
   ram_frames : int;
   asid_bits : int;
   page_bits : int;
-  epsilon : float;
 }
 
 let default =
-  { tlb_entries = 64; ram_frames = 1024; asid_bits = 8; page_bits = 24;
-    epsilon = 0.01 }
+  { tlb_entries = 64; ram_frames = 1024; asid_bits = 8; page_bits = 24 }
 
 let validate cfg =
   if cfg.tlb_entries < 1 then invalid_arg "Contended: tlb_entries must be >= 1";
@@ -25,8 +23,7 @@ let validate cfg =
   if cfg.asid_bits < 1 || cfg.asid_bits > 20 then
     invalid_arg "Contended: asid_bits must be in 1..20";
   if cfg.page_bits < 1 || cfg.page_bits > 40 then
-    invalid_arg "Contended: page_bits must be in 1..40";
-  if cfg.epsilon < 0.0 then invalid_arg "Contended: negative epsilon"
+    invalid_arg "Contended: page_bits must be in 1..40"
 
 type tenant_stats = {
   tenant : int;
@@ -35,7 +32,7 @@ type tenant_stats = {
   ios : int;
 }
 
-let cost ~epsilon s = float_of_int s.ios +. (epsilon *. float_of_int s.tlb_fills)
+let ledger s = { Obs.Cost.zero with ios = s.ios; tlb = s.tlb_fills }
 
 type result = {
   stats : tenant_stats list;

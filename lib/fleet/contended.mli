@@ -12,7 +12,7 @@
 
     The access path charges the paper's translation cost: a TLB miss
     is a fill (ε each); a fill that also misses RAM is an I/O (1
-    each); {!cost} is [ios + ε·tlb_fills].
+    each); {!ledger} carries both.
 
     [Shared] mode recycles ASIDs through {!Atp_tlb.Asid.Allocator} —
     lazy, flush-on-rollover — so departures are O(1), and any stale
@@ -36,12 +36,11 @@ type config = {
   ram_frames : int;  (** shared-mode RAM frames (>= 1) *)
   asid_bits : int;  (** hardware id space, 1..20 *)
   page_bits : int;  (** bits of a page number in a RAM key, 1..40 *)
-  epsilon : float;  (** TLB-fill cost relative to an I/O (>= 0) *)
 }
 
 val default : config
 (** 64-entry TLB, 1024-frame RAM, 8-bit ASIDs (so churny fleets
-    actually exercise recycling), 24-bit pages, ε = 0.01. *)
+    actually exercise recycling), 24-bit pages. *)
 
 val validate : config -> unit
 (** @raise Invalid_argument on any out-of-range field. *)
@@ -53,8 +52,9 @@ type tenant_stats = {
   ios : int;
 }
 
-val cost : epsilon:float -> tenant_stats -> float
-(** [ios + ε·tlb_fills], the tenant's translation cost. *)
+val ledger : tenant_stats -> Atp_obs.Cost.t
+(** IOs and TLB fills; priced, they are the tenant's translation
+    cost. *)
 
 type result = {
   stats : tenant_stats list;  (** sorted by tenant id *)

@@ -46,7 +46,10 @@ let of_stats ~epsilon stats =
     (List.filter_map
        (fun (s : Contended.tenant_stats) ->
          if s.accesses = 0 then None
-         else Some (Contended.cost ~epsilon s /. float_of_int s.accesses))
+         else
+           Some
+             (Obs.Cost.price ~epsilon (Contended.ledger s)
+             /. float_of_int s.accesses))
        stats)
 
 let of_reports ~epsilon reports =

@@ -34,14 +34,11 @@ type counters = {
   ios : int;
 }
 
-let cost ~epsilon c = float_of_int c.ios +. (epsilon *. float_of_int c.tlb_misses)
+let ledger c =
+  { Obs.Cost.zero with
+    ios = c.ios; tlb = c.tlb_misses - c.tcache_hits; cheap = c.tcache_hits }
 
-let cost_with_reach ~epsilon ~tcache_epsilon c =
-  if tcache_epsilon < 0.0 || tcache_epsilon > epsilon then
-    invalid_arg "Machine.cost_with_reach: need 0 <= tcache_epsilon <= epsilon";
-  float_of_int c.ios
-  +. (epsilon *. float_of_int (c.tlb_misses - c.tcache_hits))
-  +. (tcache_epsilon *. float_of_int c.tcache_hits)
+let cost ~epsilon c = Obs.Cost.price ~epsilon (ledger c)
 
 type t = {
   cfg : config;
@@ -198,9 +195,9 @@ let access t vpage =
     (match t.tcache with
      | Some tc when Atp_tlb.Tlb.mem tc hu ->
        (* Recovered from the cache hierarchy: still a TLB miss, but a
-          cheap one (cost_with_reach charges tcache_epsilon, not
-          epsilon).  A tcache entry implies residency — eviction shoots
-          the tier down — so no IO can be due. *)
+          cheap one (the ledger bills it as [cheap], not [tlb]).  A
+          tcache entry implies residency — eviction shoots the tier
+          down — so no IO can be due. *)
        Obs.Counter.incr t.c_tcache_hits;
        let base =
          match Atp_tlb.Tlb.lookup tc hu with

@@ -16,7 +16,7 @@ type config = {
   ram_pages : int;  (** P, in base pages *)
   tlb_entries : int;  (** ℓ *)
   huge_size : int;  (** h, a power of two, in base pages *)
-  epsilon : float;  (** ε, the TLB-miss cost *)
+  epsilon : float;  (** unread: ε is an argument of {!cost} *)
   tcache_entries : int;
       (** capacity of the Victima-style cache-resident victim store
           behind the TLB; 0 disables it (default 0), keeping
@@ -42,17 +42,14 @@ type counters = {
   ios : int;  (** base-page IOs: [huge_size] per fault *)
 }
 
+val ledger : counters -> Atp_obs.Cost.t
+(** IOs, full-priced misses [tlb_misses − tcache_hits], and the
+    [tcache_hits] as [cheap] events, which a [tcache_epsilon] below ε
+    prices as the reach-extended cost model. *)
+
 val cost : epsilon:float -> counters -> float
-(** [ios + ε * tlb_misses]: the paper's model, which charges every
-    TLB miss the full ε regardless of reach extension. *)
-
-val cost_with_reach : epsilon:float -> tcache_epsilon:float -> counters -> float
-(** [ios + ε·(tlb_misses − tcache_hits) + tcache_ε·tcache_hits]: the
-    reach-extended cost model, where a miss recovered from the
-    cache-resident tier costs [tcache_epsilon] instead of ε.  Equal to
-    {!cost} when the tier is disabled ([tcache_hits = 0]).
-
-    @raise Invalid_argument unless [0 <= tcache_epsilon <= epsilon]. *)
+(** [Cost.price ~epsilon (ledger c)]: the paper's model, which charges
+    every TLB miss ε regardless of reach extension. *)
 
 type t
 

@@ -6,10 +6,7 @@ type config = {
   ram_pages : int;
   tlb_entries_per_core : int;
   huge_size : int;
-  epsilon : float;
-  ipi_epsilon : float;
   tcache_entries : int;
-  tcache_epsilon : float;
 }
 
 let default_config =
@@ -18,10 +15,7 @@ let default_config =
     ram_pages = 1 lsl 18;
     tlb_entries_per_core = 384;
     huge_size = 1;
-    epsilon = 0.01;
-    ipi_epsilon = 0.01;
     tcache_entries = 0;
-    tcache_epsilon = 0.003;
   }
 
 type counters = {
@@ -187,13 +181,10 @@ let access t ~core vpage =
        let base = ensure_resident t ~initiator:core hu in
        fill_tlb t tlb hu base)
 
-let cost cfg c =
-  if cfg.tcache_epsilon < 0.0 || cfg.tcache_epsilon > cfg.epsilon then
-    invalid_arg "Smp.cost: need 0 <= tcache_epsilon <= epsilon";
-  float_of_int c.ios
-  +. (cfg.epsilon *. float_of_int (c.tlb_misses - c.tcache_hits))
-  +. (cfg.tcache_epsilon *. float_of_int c.tcache_hits)
-  +. (cfg.ipi_epsilon *. float_of_int c.ipis)
+let ledger c =
+  { Atp_obs.Cost.zero with
+    ios = c.ios; tlb = c.tlb_misses - c.tcache_hits; cheap = c.tcache_hits;
+    ipis = c.ipis }
 
 let run_with assign ?warmup t trace =
   (match warmup with

@@ -17,20 +17,14 @@ type config = {
   ram_pages : int;
   tlb_entries_per_core : int;
   huge_size : int;  (** power of two; 1 = no huge pages *)
-  epsilon : float;
-  ipi_epsilon : float;  (** cost of one remote TLB invalidation *)
   tcache_entries : int;
       (** capacity of the shared (Victima-style, LLC-resident) victim
           store behind the per-core TLBs; 0 disables it (default 0) *)
-  tcache_epsilon : float;
-      (** cost of a miss recovered from the shared store — strictly
-          between a TLB hit (0) and a full miss (ε) *)
 }
 
 val default_config : config
-(** 4 cores, 384 entries each (1536 split 4 ways), h = 1, ε = 0.01,
-    IPI cost = ε, reach extension off (tcache_ε = 0.003 when
-    enabled). *)
+(** 4 cores, 384 entries each (1536 split 4 ways), h = 1, reach
+    extension off. *)
 
 type counters = {
   accesses : int;
@@ -59,12 +53,11 @@ val counters : t -> counters
 
 val reset_counters : t -> unit
 
-val cost : config -> counters -> float
-(** [ios + ε·(tlb_misses − tcache_hits) + tcache_ε·tcache_hits
-    + ipi_ε·ipis] — with the store disabled ([tcache_hits = 0]) this
-    is the original [ios + ε·tlb_misses + ipi_ε·ipis].
-
-    @raise Invalid_argument unless [0 <= tcache_epsilon <= epsilon]. *)
+val ledger : counters -> Atp_obs.Cost.t
+(** IOs, full-priced misses [tlb_misses − tcache_hits], the
+    [tcache_hits] as [cheap] events, and the [ipis].  With the store
+    disabled, {!Atp_obs.Cost.price} of it is [ios + ε·tlb_misses +
+    ε·ipis]. *)
 
 val run_shared : ?warmup:int array -> t -> int array -> counters
 (** Replay a single page trace round-robin across the cores: a shared

@@ -5,17 +5,7 @@ type config = {
   base_tlb_entries : int;
   huge_tlb_entries : int;
   huge_size : int;
-  epsilon : float;
 }
-
-let default_config =
-  {
-    ram_pages = 1 lsl 18;
-    base_tlb_entries = 1536;
-    huge_tlb_entries = 16;
-    huge_size = 512;
-    epsilon = 0.01;
-  }
 
 type counters = {
   accesses : int;
@@ -304,8 +294,7 @@ let run ?warmup t trace =
   Array.iter (access t) trace;
   counters t
 
-let cost ~epsilon c =
-  float_of_int c.ios +. (epsilon *. float_of_int c.tlb_misses)
+let ledger c = { Atp_obs.Cost.zero with ios = c.ios; tlb = c.tlb_misses }
 
 let pp_counters ppf c =
   Format.fprintf ppf

@@ -19,10 +19,7 @@ type config = {
   base_tlb_entries : int;
   huge_tlb_entries : int;
   huge_size : int;
-  epsilon : float;
 }
-
-val default_config : config
 
 type counters = {
   accesses : int;
@@ -58,6 +55,7 @@ val promoted_regions : t -> int
 
 val run : ?warmup:int array -> t -> int array -> counters
 
-val cost : epsilon:float -> counters -> float
+val ledger : counters -> Atp_obs.Cost.t
+(** IOs and TLB misses. *)
 
 val pp_counters : Format.formatter -> counters -> unit

@@ -7,7 +7,6 @@ type config = {
   huge_size : int;
   promote_fraction : float;
   max_compaction_evictions : int;
-  epsilon : float;
 }
 
 let default_config =
@@ -18,7 +17,6 @@ let default_config =
     huge_size = 512;
     promote_fraction = 0.9;
     max_compaction_evictions = 64;
-    epsilon = 0.01;
   }
 
 type counters = {
@@ -271,8 +269,7 @@ let run ?warmup t trace =
   Array.iter (access t) trace;
   counters t
 
-let cost ~epsilon c =
-  float_of_int c.ios +. (epsilon *. float_of_int c.tlb_misses)
+let ledger c = { Atp_obs.Cost.zero with ios = c.ios; tlb = c.tlb_misses }
 
 let pp_counters ppf c =
   Format.fprintf ppf

@@ -23,7 +23,6 @@ type config = {
   promote_fraction : float;  (** resident fraction triggering promotion *)
   max_compaction_evictions : int;
       (** eviction budget per promotion attempt before giving up *)
-  epsilon : float;
 }
 
 val default_config : config
@@ -62,7 +61,7 @@ val promoted_regions : t -> int
 
 val run : ?warmup:int array -> t -> int array -> counters
 
-val cost : epsilon:float -> counters -> float
-(** [ios + ε·tlb_misses]. *)
+val ledger : counters -> Atp_obs.Cost.t
+(** IOs (promotion fills included) and TLB misses. *)
 
 val pp_counters : Format.formatter -> counters -> unit

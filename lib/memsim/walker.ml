@@ -208,3 +208,8 @@ let average_cycles t =
 let epsilon t ~io_latency_cycles =
   if io_latency_cycles <= 0 then invalid_arg "Walker.epsilon: bad IO latency";
   average_cycles t /. float_of_int io_latency_cycles
+
+let tcache_epsilon ~epsilon ~tcache_latency =
+  let walk_cycles = Page_table.levels * default_config.memory_latency in
+  Float.min epsilon
+    (epsilon *. float_of_int tcache_latency /. float_of_int walk_cycles)

@@ -102,3 +102,8 @@ val epsilon : t -> io_latency_cycles:int -> float
     pattern.
 
     @raise Invalid_argument if [io_latency_cycles <= 0]. *)
+
+val tcache_epsilon : epsilon:float -> tcache_latency:int -> float
+(** The abstract model's price of a miss recovered by the tier:
+    [min ε (ε·tcache_latency / full-walk-cycles)], a full walk loading
+    every {!Page_table.levels} level at the default [memory_latency]. *)

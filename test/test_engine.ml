@@ -17,6 +17,8 @@ module Engine = Atp_engine.Engine
 
 let check = Alcotest.check
 
+let cost t = Atp_obs.Cost.price ~epsilon:0.01 (Engine.ledger t)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let shards =
@@ -116,8 +118,7 @@ let test_exact_full_warmup () =
             seq sh;
           check (Alcotest.float 0.)
             (Printf.sprintf "%s/%s cost" wname policy)
-            (Engine.cost ~epsilon:0.01 seq)
-            (Engine.cost ~epsilon:0.01 sh))
+            (cost seq) (cost sh))
         policies)
     workload_names
 
@@ -170,11 +171,7 @@ let test_bounded_multi_epoch () =
           check Alcotest.int
             (Printf.sprintf "%s/%s accesses are exact" wname policy)
             seq.Engine.accesses sh.Engine.accesses;
-          let e =
-            rel_err
-              (Engine.cost ~epsilon:0.01 sh)
-              (Engine.cost ~epsilon:0.01 seq)
-          in
+          let e = rel_err (cost sh) (cost seq) in
           check Alcotest.bool
             (Printf.sprintf "%s/%s cost error %.4f <= %.2f" wname policy e
                Engine.documented_error_bound)

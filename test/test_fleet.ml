@@ -212,7 +212,6 @@ let contended_cfg =
     ram_frames = 512;
     asid_bits = 7;
     page_bits = 20;
-    epsilon = 0.01;
   }
 
 let test_contended_deterministic () =
@@ -334,8 +333,7 @@ let test_fairness_golden () =
     let r = Contended.run contended_cfg qos (make_source ()) in
     Format.asprintf "%a"
       Fleet.pp
-      (Fleet.of_stats ~epsilon:contended_cfg.Contended.epsilon
-         r.Contended.stats)
+      (Fleet.of_stats ~epsilon:0.01 r.Contended.stats)
   in
   check Alcotest.string "shared fairness report" golden_shared
     (render Contended.Shared);

@@ -235,9 +235,8 @@ let totals_str t = Format.asprintf "%a" Engine.pp_totals t
 let check_same_replay label (t_file, obs_file) (t_ref, obs_ref) =
   check Alcotest.string (label ^ ": cost report") (totals_str t_ref)
     (totals_str t_file);
-  check (Alcotest.float 0.) (label ^ ": cost")
-    (Engine.cost ~epsilon:0.01 t_ref)
-    (Engine.cost ~epsilon:0.01 t_file);
+  let cost t = Atp_obs.Cost.price ~epsilon:0.01 (Engine.ledger t) in
+  check (Alcotest.float 0.) (label ^ ": cost") (cost t_ref) (cost t_file);
   check Alcotest.string (label ^ ": obs snapshot") obs_ref obs_file
 
 let engine_config ~shards =

@@ -174,17 +174,17 @@ let test_machine_cost_model () =
   check (Alcotest.float 1e-9) "cost" (4.0 +. 0.5) (Machine.cost ~epsilon:0.05 c);
   (* Reach-extended model: with no tcache hits it degenerates to the
      plain model; with hits, each one is re-billed at tcache_ε. *)
-  check (Alcotest.float 1e-9) "reach cost, tier idle" (4.0 +. 0.5)
-    (Machine.cost_with_reach ~epsilon:0.05 ~tcache_epsilon:0.01 c);
+  let reach ?(tcache_epsilon = 0.01) c =
+    Atp_obs.Cost.price ~epsilon:0.05 ~tcache_epsilon (Machine.ledger c)
+  in
+  check (Alcotest.float 1e-9) "reach cost, tier idle" (4.0 +. 0.5) (reach c);
   let c = { c with tcache_hits = 6 } in
   check (Alcotest.float 1e-9) "reach cost"
     (4.0 +. (0.05 *. 4.0) +. (0.01 *. 6.0))
-    (Machine.cost_with_reach ~epsilon:0.05 ~tcache_epsilon:0.01 c);
+    (reach c);
   Alcotest.check_raises "tcache_epsilon above epsilon rejected"
-    (Invalid_argument
-       "Machine.cost_with_reach: need 0 <= tcache_epsilon <= epsilon")
-    (fun () ->
-      ignore (Machine.cost_with_reach ~epsilon:0.05 ~tcache_epsilon:0.06 c))
+    (Invalid_argument "Cost.price: need 0 <= tcache_epsilon <= epsilon < infinity")
+    (fun () -> ignore (reach ~tcache_epsilon:0.06 c))
 
 let test_machine_tcache_recovers_tlb_victims () =
   (* A TLB eviction deposits the translation into the victim store; the

@@ -195,6 +195,14 @@ let test_walker_epsilon () =
   let e = Walker.epsilon w ~io_latency_cycles:40_000 in
   check Alcotest.bool "epsilon near 0.01" true (e > 0.009 && e < 0.012)
 
+(* A recovered miss is priced as one cache probe against a 4-level
+   walk at 100 cycles a level, and never above a full miss. *)
+let test_walker_tcache_epsilon () =
+  check (Alcotest.float 0.) "30 of 400 cycles" (0.01 *. 30. /. 400.)
+    (Walker.tcache_epsilon ~epsilon:0.01 ~tcache_latency:30);
+  check (Alcotest.float 0.) "capped at epsilon" 0.01
+    (Walker.tcache_epsilon ~epsilon:0.01 ~tcache_latency:1000)
+
 let test_walker_unmapped () =
   let pt = Page_table.create () in
   let w = Walker.create pt in
@@ -490,6 +498,7 @@ let () =
           Alcotest.test_case "pwc locality" `Quick test_walker_locality_via_pwc;
           Alcotest.test_case "invalidate" `Quick test_walker_invalidate;
           Alcotest.test_case "epsilon" `Quick test_walker_epsilon;
+          Alcotest.test_case "tcache epsilon" `Quick test_walker_tcache_epsilon;
           Alcotest.test_case "unmapped" `Quick test_walker_unmapped;
           Alcotest.test_case "invlpg precision" `Quick
             test_walker_invalidate_page_precision;

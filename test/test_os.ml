@@ -164,19 +164,21 @@ let test_smp_partitioned_less_shootdown () =
     (shared.Smp.ios > 0 && partitioned.Smp.ios > 0)
 
 let test_smp_cost_model () =
-  let cfg = smp_config ~cores:2 ~ram:16 ~tlb:4 in
+  let cost c =
+    Atp_obs.Cost.price ~epsilon:0.01 ~tcache_epsilon:0.003 (Smp.ledger c)
+  in
   let c =
     { Smp.accesses = 10; tlb_misses = 4; tcache_hits = 0; ios = 2;
       shootdown_events = 1; ipis = 3 }
   in
   check (Alcotest.float 1e-9) "cost formula"
     (2.0 +. (0.01 *. 4.0) +. (0.01 *. 3.0))
-    (Smp.cost cfg c);
+    (cost c);
   (* Reach-extended: recovered misses are re-billed at tcache_ε. *)
   let c = { c with tcache_hits = 3 } in
   check (Alcotest.float 1e-9) "reach cost formula"
     (2.0 +. (0.01 *. 1.0) +. (0.003 *. 3.0) +. (0.01 *. 3.0))
-    (Smp.cost cfg c)
+    (cost c)
 
 let test_smp_tcache_recovers_cross_core () =
   (* Core 0's TLB eviction deposits the translation into the shared

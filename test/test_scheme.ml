@@ -8,6 +8,8 @@ open Atp_util
 
 let check = Alcotest.check
 
+module Cost = Atp_obs.Cost
+
 (* --- Scheme ------------------------------------------------------------- *)
 
 let bimodal_trace seed n =
@@ -27,17 +29,18 @@ let test_scheme_physical_matches_machine () =
         ram_pages = 2048; tlb_entries = 64; huge_size = 8 }
   in
   let c = Atp_memsim.Machine.run m trace in
-  check Alcotest.int "same ios" c.Atp_memsim.Machine.ios (scheme.Scheme.ios ());
-  check Alcotest.int "same tlb" c.Atp_memsim.Machine.tlb_misses
-    (scheme.Scheme.tlb_events ())
+  let l = scheme.Scheme.ledger () in
+  check Alcotest.int "same ios" c.Atp_memsim.Machine.ios l.Cost.ios;
+  check Alcotest.int "same tlb" c.Atp_memsim.Machine.tlb_misses l.Cost.tlb
 
 let test_scheme_decoupled_counts () =
   let trace = bimodal_trace 2 20_000 in
   let scheme =
     Scheme.run (Scheme.decoupled ~tlb_entries:64 ~ram_pages:2048 ~w:64 ()) trace
   in
-  check Alcotest.bool "did IOs" true (scheme.Scheme.ios () > 0);
-  check Alcotest.bool "cost positive" true (Scheme.cost ~epsilon:0.01 scheme > 0.0)
+  let l = scheme.Scheme.ledger () in
+  check Alcotest.bool "did IOs" true (l.Cost.ios > 0);
+  check Alcotest.bool "cost positive" true (Cost.price ~epsilon:0.01 l > 0.0)
 
 let test_scheme_reset_via_run () =
   let trace = bimodal_trace 3 5_000 in
@@ -46,7 +49,7 @@ let test_scheme_reset_via_run () =
   let scheme = Scheme.run ~warmup scheme trace in
   (* Counters reflect only the measured trace. *)
   check Alcotest.bool "warmup not counted" true
-    (scheme.Scheme.tlb_events () <= Array.length trace)
+    ((scheme.Scheme.ledger ()).Cost.tlb <= Array.length trace)
 
 let test_scheme_compare_all () =
   let ram = 2048 in
@@ -88,6 +91,44 @@ let test_scheme_compare_all () =
   check Alcotest.bool
     (Printf.sprintf "decoupled (%.1f) beats physical-64 (%.1f)" z p64)
     true (z < p64)
+
+(* A price above ε for a recovered miss is refused, not summed. *)
+let test_scheme_compare_all_rejects_tcache_price () =
+  let epsilon = 0.01 in
+  Alcotest.check_raises "tcache_epsilon > epsilon"
+    (Invalid_argument "Cost.price: need 0 <= tcache_epsilon <= epsilon < infinity")
+    (fun () ->
+      ignore
+        (Scheme.compare_all ~tcache_epsilon:(2. *. epsilon) ~epsilon
+           [ Scheme.physical ~tlb_entries:64 ~ram_pages:2048 ~huge_size:1 () ]
+           (bimodal_trace 5 1_000)))
+
+(* Priced at the paper's defaults, a recovered miss costs ε: the
+   reach scheme's ledger costs what Machine.cost bills the same
+   counters, ios + ε·tlb_misses up to one rounding. *)
+let test_scheme_reach_default_price () =
+  let trace = bimodal_trace 6 20_000 in
+  let scheme =
+    Scheme.run
+      (Scheme.physical_reach ~tlb_entries:64 ~ram_pages:2048 ~huge_size:1
+         ~tcache_entries:512 ())
+      trace
+  in
+  let m =
+    Atp_memsim.Machine.create
+      { Atp_memsim.Machine.default_config with
+        ram_pages = 2048; tlb_entries = 64; tcache_entries = 512 }
+  in
+  let c = Atp_memsim.Machine.run m trace in
+  check Alcotest.bool "the tier recovered misses" true
+    (c.Atp_memsim.Machine.tcache_hits > 0);
+  let price = Cost.price ~epsilon:0.01 (scheme.Scheme.ledger ()) in
+  check (Alcotest.float 0.) "reach ledger = Machine.cost"
+    (Atp_memsim.Machine.cost ~epsilon:0.01 c)
+    price;
+  check (Alcotest.float 1e-9) "every miss at epsilon"
+    (float_of_int c.ios +. (0.01 *. float_of_int c.tlb_misses))
+    price
 
 (* --- Always-go-left -------------------------------------------------------- *)
 
@@ -162,6 +203,10 @@ let () =
           Alcotest.test_case "decoupled counts" `Quick test_scheme_decoupled_counts;
           Alcotest.test_case "reset via run" `Quick test_scheme_reset_via_run;
           Alcotest.test_case "compare all" `Quick test_scheme_compare_all;
+          Alcotest.test_case "compare all rejects tcache price > epsilon"
+            `Quick test_scheme_compare_all_rejects_tcache_price;
+          Alcotest.test_case "reach ledger at default prices = machine cost"
+            `Quick test_scheme_reach_default_price;
         ] );
       ( "left-greedy",
         [

@@ -218,8 +218,7 @@ let test_vmm_translation_fraction () =
 
 let sp_config ~ram ~h =
   {
-    Superpage.default_config with
-    ram_pages = ram;
+    Superpage.ram_pages = ram;
     base_tlb_entries = 64;
     huge_tlb_entries = 8;
     huge_size = h;
