@@ -1019,18 +1019,18 @@ let smp () =
      are actually cached somewhere and shootdowns have teeth (RAM here
      is the constrained resource). *)
   let cfg cores =
-    { Smp.default_config with
+    { Machine.default_config with
       cores;
       ram_pages = 1 lsl 9;
-      tlb_entries_per_core = 1536 / cores;
+      tlb_entries = 1536 / cores;
     }
   in
-  let smp_data (c : Smp.counters) =
+  let smp_data (c : Machine.counters) =
     Json.Obj
       [
-        ("tlb", Json.Int c.Smp.tlb_misses);
-        ("ios", Json.Int c.Smp.ios);
-        ("ipis", Json.Int c.Smp.ipis);
+        ("tlb", Json.Int c.Machine.tlb_misses);
+        ("ios", Json.Int c.Machine.ios);
+        ("ipis", Json.Int c.Machine.ipis);
       ]
   in
   let tasks =
@@ -1038,12 +1038,14 @@ let smp () =
       (fun cores ->
         [
           Spec.task ~key:(Printf.sprintf "cores=%d/shared" cores) (fun _reg ->
-              smp_data (Smp.run_shared ~warmup (Smp.create (cfg cores)) trace));
+              smp_data (Machine.run ~warmup (Machine.create (cfg cores)) trace));
           Spec.task
             ~key:(Printf.sprintf "cores=%d/partitioned" cores)
             (fun _reg ->
               smp_data
-                (Smp.run_partitioned ~warmup (Smp.create (cfg cores)) trace));
+                (Machine.run_partitioned ~warmup
+                   (Machine.create (cfg cores))
+                   trace));
           (* Decoupling under per-core TLBs: hardware entries are
              copies, so a residency change to a remotely covered huge
              page costs an update notification — the concurrency price
@@ -1537,7 +1539,8 @@ let core () =
           in
           let rng = Prng.create ~seed:5 () in
           Test.make ~name:"machine-access(fig1-step)"
-            (Staged.stage (fun () -> Machine.access m (Prng.int rng (1 lsl 16))))
+            (Staged.stage (fun () ->
+                 Machine.access m ~core:0 (Prng.int rng (1 lsl 16))))
         in
         let sim_test =
           let params = Params.derive ~p:(1 lsl 14) ~w:64 () in
@@ -1876,20 +1879,20 @@ let reach () =
             let warmup = Workload.generate zipf warmup_n in
             let trace = Workload.generate zipf measure_n in
             let cfg =
-              { Smp.default_config with
+              { Machine.default_config with
                 cores;
                 ram_pages = 1 lsl 12;
-                tlb_entries_per_core = 96;
+                tlb_entries = 96;
                 tcache_entries = tc;
               }
             in
-            let c = Smp.run_shared ~warmup (Smp.create cfg) trace in
-            let l = Smp.ledger c in
+            let c = Machine.run ~warmup (Machine.create cfg) trace in
+            let l = Machine.ledger c in
             ledger_row
               ~extra:
                 [
                   ("ipis", Json.Int l.ipis);
-                  ("shootdowns", Json.Int c.Smp.shootdown_events);
+                  ("shootdowns", Json.Int c.Machine.shootdowns);
                 ]
               l))
       [ ("base", 0); ("reach", tcache_entries) ]

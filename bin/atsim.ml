@@ -48,37 +48,45 @@ let exits =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
-let ram_arg =
-  Arg.(
-    value
-    & opt int (1 lsl 18)
-    & info [ "ram" ] ~docv:"PAGES" ~doc:"Physical memory size in 4 KiB pages.")
-
-let tlb_arg =
-  Arg.(
-    value & opt int 1536
-    & info [ "tlb" ] ~docv:"ENTRIES" ~doc:"TLB entry count (the paper uses 1536).")
-
-(* Prices and cycle counts must be finite and >= 0: anything else is a
-   usage error, never a cost computed from it. *)
-let non_negative conv ok =
+(* Prices must be finite, and prices, cycle counts and sizes at least
+   [lo]: anything else is a usage error, never a cost computed from it
+   or a machine built from it. *)
+let at_least conv lo ok =
   let parse s =
     match Arg.conv_parser conv s with
     | Ok v when not (ok v) ->
-      Error (`Msg ("invalid value '" ^ s ^ "', expected a finite number >= 0"))
+      Error
+        (`Msg
+           (Printf.sprintf "invalid value '%s', expected a finite number >= %s"
+              s lo))
     | r -> r
   in
   Arg.conv (parse, Arg.conv_printer conv)
 
+let int_at_least lo = at_least Arg.int (string_of_int lo) (fun n -> n >= lo)
+
+let ram_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) (1 lsl 18)
+    & info [ "ram" ] ~docv:"PAGES" ~doc:"Physical memory size in 4 KiB pages.")
+
+let tlb_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) 1536
+    & info [ "tlb" ] ~docv:"ENTRIES" ~doc:"TLB entry count (the paper uses 1536).")
+
 let epsilon_arg =
   Arg.(
     value
-    & opt (non_negative float (fun e -> Float.is_finite e && e >= 0.0)) 0.01
+    & opt (at_least float "0" (fun e -> Float.is_finite e && e >= 0.0)) 0.01
     & info [ "epsilon" ] ~docv:"E" ~doc:"TLB-miss cost ε in the AT cost model.")
 
 let tcache_entries_arg =
   Arg.(
-    value & opt int 0
+    value
+    & opt (int_at_least 0) 0
     & info [ "tcache-entries" ] ~docv:"N"
         ~doc:
           "Victima-style reach extension: capacity of the cache-resident \
@@ -87,7 +95,7 @@ let tcache_entries_arg =
 
 let tcache_latency_arg =
   Arg.(
-    value & opt (non_negative int (fun c -> c >= 0)) 30
+    value & opt (int_at_least 0) 30
     & info [ "tcache-latency" ] ~docv:"CYCLES"
         ~doc:
           "Cycles for a cache-hierarchy translation probe.  In the abstract \
@@ -97,12 +105,14 @@ let tcache_latency_arg =
 
 let accesses_arg =
   Arg.(
-    value & opt int 1_000_000
+    value
+    & opt (int_at_least 0) 1_000_000
     & info [ "accesses"; "n" ] ~docv:"N" ~doc:"Measured accesses.")
 
 let warmup_arg =
   Arg.(
-    value & opt int 1_000_000
+    value
+    & opt (int_at_least 0) 1_000_000
     & info [ "warmup" ] ~docv:"N" ~doc:"Warmup accesses (not counted).")
 
 let w_arg =

@@ -11,7 +11,7 @@
       Iceberg hash table.
     - {!Tlb}: TLB models of every flavour.
     - {!Memsim}: page tables, walkers, nested translation, the
-      Section 6 machine, THP, superpages, SMP, the VMM.
+      Section 6 machine on one core or many, THP, superpages, the VMM.
     - {!Core}: the paper's contribution — decoupling, the Simulation
       Theorem, the hybrid scheme, the unified scheme interface.
     - {!Workloads}: the paper's workloads, HPC kernels, combinators,

@@ -20,24 +20,24 @@ let machine name cfg =
   let m = Machine.create cfg in
   {
     name;
-    access = Machine.access m;
+    access = Machine.access m ~core:0;
     ledger = (fun () -> Machine.ledger (Machine.counters m));
     reset = (fun () -> Machine.reset_counters m);
   }
 
-let physical ?(tlb_entries = 1536) ?(seed = 42) ~ram_pages ~huge_size () =
+let physical ?(tlb_entries = 1536) ~ram_pages ~huge_size () =
   machine
     (Printf.sprintf "physical-%d" huge_size)
-    { Machine.default_config with ram_pages; tlb_entries; huge_size; seed }
+    { Machine.default_config with ram_pages; tlb_entries; huge_size }
 
-let physical_reach ?(tlb_entries = 1536) ?(seed = 42) ~ram_pages ~huge_size
-    ~tcache_entries () =
+let physical_reach ?(tlb_entries = 1536) ~ram_pages ~huge_size ~tcache_entries
+    () =
   if tcache_entries < 1 then
     invalid_arg "Scheme.physical_reach: tier needs at least one entry";
   machine
     (Printf.sprintf "reach-%d-tc%d" huge_size tcache_entries)
     { Machine.default_config with
-      ram_pages; tlb_entries; huge_size; seed; tcache_entries }
+      ram_pages; tlb_entries; huge_size; tcache_entries }
 
 let thp ?(base_tlb_entries = 1536) ?(huge_tlb_entries = 16) ~ram_pages
     ~huge_size () =

@@ -21,13 +21,11 @@ val run : ?warmup:int array -> t -> int array -> t
 (** Play warmup, reset counters, play the trace; returns the scheme
     for chaining. *)
 
-val physical :
-  ?tlb_entries:int -> ?seed:int -> ram_pages:int -> huge_size:int -> unit -> t
+val physical : ?tlb_entries:int -> ram_pages:int -> huge_size:int -> unit -> t
 (** The Section 6 machine at a fixed huge-page size. *)
 
 val physical_reach :
   ?tlb_entries:int ->
-  ?seed:int ->
   ram_pages:int ->
   huge_size:int ->
   tcache_entries:int ->

@@ -47,6 +47,13 @@ let create ~frames =
   seed 0 frames;
   t
 
+let order_of_size n =
+  if n < 1 || n land (n - 1) <> 0 then None
+  else begin
+    let rec go acc v = if v = 1 then acc else go (acc + 1) (v lsr 1) in
+    Some (go 0 n)
+  end
+
 let frames t = t.frames
 
 let free_frames t = t.free_count

@@ -14,6 +14,11 @@ val create : frames:int -> t
 
     @raise Invalid_argument if [frames < 1]. *)
 
+val order_of_size : int -> int option
+(** [order_of_size n] is [Some r] when [n = 2^r] frames, the order a
+    block of [n] frames is allocated at, and [None] when [n] is not a
+    positive power of two. *)
+
 val frames : t -> int
 
 val free_frames : t -> int

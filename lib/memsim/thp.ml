@@ -60,16 +60,9 @@ type t = {
   mutable counters : counters;
 }
 
-let log2_exact n =
-  if n < 1 || n land (n - 1) <> 0 then None
-  else begin
-    let rec go acc v = if v = 1 then acc else go (acc + 1) (v lsr 1) in
-    Some (go 0 n)
-  end
-
 let create cfg =
   let huge_shift =
-    match log2_exact cfg.huge_size with
+    match Buddy.order_of_size cfg.huge_size with
     | Some s when s >= 1 -> s
     | _ -> invalid_arg "Thp.create: huge_size must be a power of two >= 2"
   in

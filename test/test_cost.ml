@@ -42,8 +42,9 @@ let prop_linear =
            (price (ledger_of (Array.map2 ( + ) a b)))
            (price (ledger_of a) +. price (ledger_of b)))
 
-(* The hand-written formulas the ledgers replaced.  [old_smp] is
-   [Smp.cost] under its only config, where the IPI price was ε. *)
+(* The hand-written formulas the ledgers replaced.  [old_smp] is the
+   multi-core machine's former [cost] under its only config, where the
+   IPI price was ε. *)
 let old_z ~epsilon ~ios ~fills ~decode =
   float_of_int ios +. (epsilon *. float_of_int (fills + decode))
 
@@ -80,9 +81,9 @@ let prop_matches_old_formulas =
         { Simulation.accesses = 0; ios; tlb_fills = tlb;
           decoding_misses = decode; failures_total = 0; max_bucket_load = 0 }
       in
-      let machine ~tcache_hits =
+      let machine ~tcache_hits ~ipis =
         { Machine.accesses = 0; tlb_hits = 0; tlb_misses = tlb + tcache_hits;
-          tcache_hits; page_faults = 0; ios }
+          tcache_hits; page_faults = 0; ios; shootdowns = 0; ipis }
       in
       let price = Cost.price ~epsilon in
       List.for_all
@@ -121,17 +122,15 @@ let prop_matches_old_formulas =
              (Contended.ledger
                 { Contended.tenant = 0; accesses = 0; tlb_fills = tlb; ios }));
           ("Machine, tier idle", plain,
-           Machine.cost ~epsilon (machine ~tcache_hits:0));
+           Machine.cost ~epsilon (machine ~tcache_hits:0 ~ipis:0));
           ("Machine with reach",
            old_reach ~epsilon ~tcache_epsilon ~ios ~misses ~hits,
            Cost.price ~tcache_epsilon ~epsilon
-             (Machine.ledger (machine ~tcache_hits:hits)));
-          ("Smp with IPIs",
+             (Machine.ledger (machine ~tcache_hits:hits ~ipis:0)));
+          ("Machine with IPIs",
            old_smp ~epsilon ~tcache_epsilon ~ios ~misses ~hits ~ipis,
            Cost.price ~tcache_epsilon ~epsilon
-             (Smp.ledger
-                { Smp.accesses = 0; tlb_misses = misses; tcache_hits = hits;
-                  ios; shootdown_events = 0; ipis }));
+             (Machine.ledger (machine ~tcache_hits:hits ~ipis)));
         ])
 
 let test_rejects_bad_prices () =

@@ -104,7 +104,7 @@ let test_machine_rejects_bad_huge_size () =
 
 let test_machine_counts_accesses () =
   let m = Machine.create (config ~ram:64 ~tlb:4 ~h:1) in
-  for v = 0 to 9 do Machine.access m v done;
+  for v = 0 to 9 do Machine.access m ~core:0 v done;
   let c = Machine.counters m in
   check Alcotest.int "accesses" 10 c.Machine.accesses;
   check Alcotest.int "all cold misses" 10 c.Machine.tlb_misses;
@@ -113,8 +113,8 @@ let test_machine_counts_accesses () =
 
 let test_machine_hits_are_free () =
   let m = Machine.create (config ~ram:64 ~tlb:4 ~h:1) in
-  Machine.access m 5;
-  Machine.access m 5;
+  Machine.access m ~core:0 5;
+  Machine.access m ~core:0 5;
   let c = Machine.counters m in
   check Alcotest.int "one miss" 1 c.Machine.tlb_misses;
   check Alcotest.int "one hit" 1 c.Machine.tlb_hits;
@@ -123,11 +123,11 @@ let test_machine_hits_are_free () =
 let test_machine_page_fault_amplification () =
   (* With h = 8, touching one page faults the whole huge page: 8 IOs. *)
   let m = Machine.create (config ~ram:64 ~tlb:4 ~h:8) in
-  Machine.access m 0;
+  Machine.access m ~core:0 0;
   let c = Machine.counters m in
   check Alcotest.int "8 IOs for one access" 8 c.Machine.ios;
   (* The 7 sibling pages are now resident and TLB-covered: free. *)
-  for v = 1 to 7 do Machine.access m v done;
+  for v = 1 to 7 do Machine.access m ~core:0 v done;
   let c = Machine.counters m in
   check Alcotest.int "no further IOs" 8 c.Machine.ios;
   check Alcotest.int "no further TLB misses" 1 c.Machine.tlb_misses
@@ -135,8 +135,8 @@ let test_machine_page_fault_amplification () =
 let test_machine_ram_pressure_evicts () =
   (* RAM of 4 pages, h = 1: touching 5 distinct pages must re-fault. *)
   let m = Machine.create (config ~ram:4 ~tlb:64 ~h:1) in
-  for v = 0 to 4 do Machine.access m v done;
-  Machine.access m 0;
+  for v = 0 to 4 do Machine.access m ~core:0 v done;
+  Machine.access m ~core:0 0;
   (* 0 was evicted by LRU when 4 came in. *)
   let c = Machine.counters m in
   check Alcotest.int "6 faults" 6 c.Machine.page_faults;
@@ -146,11 +146,11 @@ let test_machine_tlb_shootdown_on_eviction () =
   (* TLB large, RAM tiny: a page evicted from RAM must not hit in the
      TLB afterwards (the entry is shot down). *)
   let m = Machine.create (config ~ram:2 ~tlb:64 ~h:1) in
-  Machine.access m 0;
-  Machine.access m 1;
-  Machine.access m 2;
+  Machine.access m ~core:0 0;
+  Machine.access m ~core:0 1;
+  Machine.access m ~core:0 2;
   (* evicts 0 *)
-  Machine.access m 0;
+  Machine.access m ~core:0 0;
   let c = Machine.counters m in
   (* 4 misses: 0, 1, 2, 0 again. *)
   check Alcotest.int "four TLB misses" 4 c.Machine.tlb_misses;
@@ -169,7 +169,7 @@ let test_machine_warmup_separation () =
 let test_machine_cost_model () =
   let c =
     { Machine.accesses = 100; tlb_hits = 90; tlb_misses = 10; tcache_hits = 0;
-      page_faults = 2; ios = 4 }
+      page_faults = 2; ios = 4; shootdowns = 0; ipis = 0 }
   in
   check (Alcotest.float 1e-9) "cost" (4.0 +. 0.5) (Machine.cost ~epsilon:0.05 c);
   (* Reach-extended model: with no tcache hits it degenerates to the
@@ -192,12 +192,12 @@ let test_machine_tcache_recovers_tlb_victims () =
   let m =
     Machine.create { (config ~ram:64 ~tlb:2 ~h:1) with tcache_entries = 16 }
   in
-  Machine.access m 0;
+  Machine.access m ~core:0 0;
   (* Overflow the 2-entry TLB so page 0 falls into the store. *)
-  Machine.access m 1;
-  Machine.access m 2;
+  Machine.access m ~core:0 1;
+  Machine.access m ~core:0 2;
   Machine.reset_counters m;
-  Machine.access m 0;
+  Machine.access m ~core:0 0;
   let c = Machine.counters m in
   check Alcotest.int "miss counted" 1 c.Machine.tlb_misses;
   check Alcotest.int "recovered from the store" 1 c.Machine.tcache_hits;
@@ -210,13 +210,13 @@ let test_machine_eviction_invalidates_tcache () =
   let m =
     Machine.create { (config ~ram:2 ~tlb:2 ~h:1) with tcache_entries = 16 }
   in
-  Machine.access m 0;
+  Machine.access m ~core:0 0;
   (* Push page 0 out of the TLB into the store... *)
-  Machine.access m 1;
+  Machine.access m ~core:0 1;
   (* ...then out of RAM entirely. *)
-  Machine.access m 2;
+  Machine.access m ~core:0 2;
   Machine.reset_counters m;
-  Machine.access m 0;
+  Machine.access m ~core:0 0;
   let c = Machine.counters m in
   check Alcotest.int "no stale recovery" 0 c.Machine.tcache_hits;
   check Alcotest.int "page is re-faulted" 1 c.Machine.page_faults

@@ -101,44 +101,46 @@ let test_thp_vs_decoupled_shape () =
 (* --- SMP -------------------------------------------------------------- *)
 
 let smp_config ~cores ~ram ~tlb =
-  { Smp.default_config with cores; ram_pages = ram; tlb_entries_per_core = tlb }
+  { Machine.default_config with cores; ram_pages = ram; tlb_entries = tlb }
 
 let test_smp_basic_counts () =
-  let t = Smp.create (smp_config ~cores:2 ~ram:64 ~tlb:16) in
-  Smp.access t ~core:0 5;
-  Smp.access t ~core:0 5;
-  Smp.access t ~core:1 5;
-  let c = Smp.counters t in
-  check Alcotest.int "accesses" 3 c.Smp.accesses;
+  let t = Machine.create (smp_config ~cores:2 ~ram:64 ~tlb:16) in
+  Machine.access t ~core:0 5;
+  Machine.access t ~core:0 5;
+  Machine.access t ~core:1 5;
+  let c = Machine.counters t in
+  check Alcotest.int "accesses" 3 c.Machine.accesses;
   (* Core 0 misses once; core 1 has its own TLB and misses too. *)
-  check Alcotest.int "per-core TLB misses" 2 c.Smp.tlb_misses;
-  check Alcotest.int "but only one IO (shared RAM)" 1 c.Smp.ios
+  check Alcotest.int "per-core TLB misses" 2 c.Machine.tlb_misses;
+  check Alcotest.int "but only one IO (shared RAM)" 1 c.Machine.ios
 
 let test_smp_shootdown_on_eviction () =
   (* RAM of 2 pages, both cores touch page 0; filling two more pages
      evicts 0 and must invalidate it on both cores. *)
-  let t = Smp.create (smp_config ~cores:2 ~ram:2 ~tlb:16) in
-  Smp.access t ~core:0 0;
-  Smp.access t ~core:1 0;
-  Smp.access t ~core:0 1;
-  Smp.access t ~core:0 2;
+  let t = Machine.create (smp_config ~cores:2 ~ram:2 ~tlb:16) in
+  Machine.access t ~core:0 0;
+  Machine.access t ~core:1 0;
+  Machine.access t ~core:0 1;
+  Machine.access t ~core:0 2;
   (* evicts page 0 *)
-  let c = Smp.counters t in
-  check Alcotest.bool "a shootdown happened" true (c.Smp.shootdown_events >= 1);
+  let c = Machine.counters t in
+  check Alcotest.bool "a shootdown happened" true (c.Machine.shootdowns >= 1);
   (* Core 0 initiated the eviction, so only core 1's invalidation is a
      remote IPI. *)
-  check Alcotest.bool "the remote core received an IPI" true (c.Smp.ipis >= 1);
+  check Alcotest.bool "the remote core received an IPI" true
+    (c.Machine.ipis >= 1);
   (* Page 0 must re-fault on both cores. *)
-  Smp.reset_counters t;
-  Smp.access t ~core:0 0;
-  Smp.access t ~core:1 0;
-  let c = Smp.counters t in
-  check Alcotest.int "both cores miss again" 2 c.Smp.tlb_misses
+  Machine.reset_counters t;
+  Machine.access t ~core:0 0;
+  Machine.access t ~core:1 0;
+  let c = Machine.counters t in
+  check Alcotest.int "both cores miss again" 2 c.Machine.tlb_misses
 
 let test_smp_bad_core_rejected () =
-  let t = Smp.create (smp_config ~cores:2 ~ram:16 ~tlb:4) in
-  Alcotest.check_raises "core out of range" (Invalid_argument "Smp.access: bad core")
-    (fun () -> Smp.access t ~core:2 0)
+  let t = Machine.create (smp_config ~cores:2 ~ram:16 ~tlb:4) in
+  Alcotest.check_raises "core out of range"
+    (Invalid_argument "Machine.access: bad core")
+    (fun () -> Machine.access t ~core:2 0)
 
 let test_smp_partitioned_less_shootdown () =
   (* Shared round-robin traffic invalidates across cores; partitioned
@@ -148,28 +150,28 @@ let test_smp_partitioned_less_shootdown () =
   let rng = Prng.create ~seed:9 () in
   let trace = Array.init 60_000 (fun _ -> Prng.int rng 512) in
   let run f =
-    let t = Smp.create (smp_config ~cores:4 ~ram:256 ~tlb:512) in
+    let t = Machine.create (smp_config ~cores:4 ~ram:256 ~tlb:512) in
     f t trace
   in
-  let shared = run (fun t tr -> Smp.run_shared t tr) in
-  let partitioned = run (fun t tr -> Smp.run_partitioned t tr) in
+  let shared = run (fun t tr -> Machine.run t tr) in
+  let partitioned = run (fun t tr -> Machine.run_partitioned t tr) in
   check Alcotest.bool
     (Printf.sprintf "partitioned ipis (%d) < shared ipis (%d)"
-       partitioned.Smp.ipis shared.Smp.ipis)
+       partitioned.Machine.ipis shared.Machine.ipis)
     true
-    (partitioned.Smp.ipis < shared.Smp.ipis);
+    (partitioned.Machine.ipis < shared.Machine.ipis);
   (* The RAM policy only sees TLB-missing accesses, so IO counts may
      differ between sharding modes; both runs still do real paging. *)
   check Alcotest.bool "both modes page" true
-    (shared.Smp.ios > 0 && partitioned.Smp.ios > 0)
+    (shared.Machine.ios > 0 && partitioned.Machine.ios > 0)
 
 let test_smp_cost_model () =
   let cost c =
-    Atp_obs.Cost.price ~epsilon:0.01 ~tcache_epsilon:0.003 (Smp.ledger c)
+    Atp_obs.Cost.price ~epsilon:0.01 ~tcache_epsilon:0.003 (Machine.ledger c)
   in
   let c =
-    { Smp.accesses = 10; tlb_misses = 4; tcache_hits = 0; ios = 2;
-      shootdown_events = 1; ipis = 3 }
+    { Machine.accesses = 10; tlb_hits = 6; tlb_misses = 4; tcache_hits = 0;
+      page_faults = 2; ios = 2; shootdowns = 1; ipis = 3 }
   in
   check (Alcotest.float 1e-9) "cost formula"
     (2.0 +. (0.01 *. 4.0) +. (0.01 *. 3.0))
@@ -184,54 +186,125 @@ let test_smp_tcache_recovers_cross_core () =
   (* Core 0's TLB eviction deposits the translation into the shared
      store; core 1 (which never saw the page) recovers it cheaply. *)
   let cfg =
-    { (smp_config ~cores:2 ~ram:64 ~tlb:2) with Smp.tcache_entries = 16 }
+    { (smp_config ~cores:2 ~ram:64 ~tlb:2) with Machine.tcache_entries = 16 }
   in
-  let t = Smp.create cfg in
-  Smp.access t ~core:0 7;
+  let t = Machine.create cfg in
+  Machine.access t ~core:0 7;
   (* Overflow core 0's 2-entry TLB so page 7 falls into the store. *)
-  Smp.access t ~core:0 8;
-  Smp.access t ~core:0 9;
-  Smp.reset_counters t;
-  Smp.access t ~core:1 7;
-  let c = Smp.counters t in
-  check Alcotest.int "miss counted" 1 c.Smp.tlb_misses;
-  check Alcotest.int "recovered from the shared store" 1 c.Smp.tcache_hits;
-  check Alcotest.int "no IO needed" 0 c.Smp.ios
+  Machine.access t ~core:0 8;
+  Machine.access t ~core:0 9;
+  Machine.reset_counters t;
+  Machine.access t ~core:1 7;
+  let c = Machine.counters t in
+  check Alcotest.int "miss counted" 1 c.Machine.tlb_misses;
+  check Alcotest.int "recovered from the shared store" 1 c.Machine.tcache_hits;
+  check Alcotest.int "no IO needed" 0 c.Machine.ios
 
 let test_smp_shootdown_invalidates_tcache () =
   (* The regression this tier must not reintroduce: a translation that
      only lives in the shared cache-resident store must still die on
      unmap, or a later access would be served a dead mapping. *)
   let cfg =
-    { (smp_config ~cores:2 ~ram:2 ~tlb:2) with Smp.tcache_entries = 16 }
+    { (smp_config ~cores:2 ~ram:2 ~tlb:2) with Machine.tcache_entries = 16 }
   in
-  let t = Smp.create cfg in
-  Smp.access t ~core:0 0;
+  let t = Machine.create cfg in
+  Machine.access t ~core:0 0;
   (* Push page 0 out of core 0's TLB into the shared store... *)
-  Smp.access t ~core:0 1;
-  Smp.access t ~core:0 2 (* evicts page 0 from RAM: shootdown *);
-  let c = Smp.counters t in
+  Machine.access t ~core:0 1;
+  Machine.access t ~core:0 2 (* evicts page 0 from RAM: shootdown *);
+  let c = Machine.counters t in
   check Alcotest.bool "unmap of a store-only translation still counts"
-    true (c.Smp.shootdown_events >= 1);
-  Smp.reset_counters t;
+    true (c.Machine.shootdowns >= 1);
+  Machine.reset_counters t;
   (* Page 0 was unmapped; recovering it from the store now would be a
      use-after-unmap.  It must take the full path (IO) again. *)
-  Smp.access t ~core:1 0;
-  let c = Smp.counters t in
-  check Alcotest.int "no stale recovery" 0 c.Smp.tcache_hits;
-  check Alcotest.bool "page is re-fetched" true (c.Smp.ios >= 1)
+  Machine.access t ~core:1 0;
+  let c = Machine.counters t in
+  check Alcotest.int "no stale recovery" 0 c.Machine.tcache_hits;
+  check Alcotest.bool "page is re-fetched" true (c.Machine.ios >= 1)
 
 let test_smp_tcache_disabled_identical () =
   (* tcache_entries = 0 must leave every counter exactly as before. *)
   let trace = Array.init 4000 (fun i -> (i * 769) land 1023) in
-  let base = Smp.create (smp_config ~cores:4 ~ram:128 ~tlb:8) in
+  let base = Machine.create (smp_config ~cores:4 ~ram:128 ~tlb:8) in
   let tiered0 =
-    Smp.create
-      { (smp_config ~cores:4 ~ram:128 ~tlb:8) with Smp.tcache_entries = 0 }
+    Machine.create
+      { (smp_config ~cores:4 ~ram:128 ~tlb:8) with Machine.tcache_entries = 0 }
   in
-  let a = Smp.run_shared base trace in
-  let b = Smp.run_shared tiered0 trace in
+  let a = Machine.run base trace in
+  let b = Machine.run tiered0 trace in
   check Alcotest.bool "counters identical with the tier disabled" true (a = b)
+
+let test_smp_rejects_zero_cores () =
+  Alcotest.check_raises "no cores"
+    (Invalid_argument "Machine.create: need at least one core")
+    (fun () -> ignore (Machine.create (smp_config ~cores:0 ~ram:16 ~tlb:4)))
+
+let test_smp_core_range () =
+  List.iter
+    (fun cores ->
+      let t = Machine.create (smp_config ~cores ~ram:16 ~tlb:4) in
+      Machine.access t ~core:(cores - 1) 0;
+      List.iter
+        (fun core ->
+          Alcotest.check_raises
+            (Printf.sprintf "core %d of %d" core cores)
+            (Invalid_argument "Machine.access: bad core")
+            (fun () -> Machine.access t ~core 0))
+        [ cores; -1 ])
+    [ 1; 4 ]
+
+let test_smp_obs_sums_over_cores () =
+  (* Every core's TLB adds into the one [tlb] scope, and only a
+     multi-core machine registers shootdowns and IPIs. *)
+  let run cores =
+    let reg = Atp_obs.Registry.create () in
+    let t =
+      Machine.create ~obs:(Atp_obs.Scope.v reg)
+        (smp_config ~cores ~ram:2 ~tlb:16)
+    in
+    (* On two cores, core 1's fault on page 2 evicts page 0, which
+       both TLBs hold: one shootdown, one IPI to core 0. *)
+    List.iteri (fun i page -> Machine.access t ~core:(i mod cores) page)
+      [ 0; 0; 1; 2 ];
+    (Machine.counters t, Atp_obs.Registry.counters reg)
+  in
+  let c, obs = run 2 in
+  check Alcotest.int "one IPI" 1 c.Machine.ipis;
+  List.iter
+    (fun (name, value) ->
+      check Alcotest.(option int) name (Some value) (List.assoc_opt name obs))
+    [
+      ("tlb.lookups", c.Machine.accesses);
+      ("tlb.misses", c.tlb_misses);
+      ("shootdowns", c.shootdowns);
+      ("ipis", c.ipis);
+    ];
+  let _, obs = run 1 in
+  check Alcotest.(list string) "one core registers neither" []
+    (List.filter (fun n -> List.mem_assoc n obs) [ "shootdowns"; "ipis" ])
+
+(* Counter identities that hold for every core count, huge-page size,
+   store size and trace, round-robin or partitioned. *)
+let prop_smp_invariants =
+  QCheck.Test.make ~name:"multi-core counter invariants" ~count:200
+    QCheck.(
+      quad (int_range 1 8) (int_bound 3)
+        (pair (int_bound 32) (int_range 1 16))
+        (pair bool (list_of_size Gen.(int_range 0 600) (int_bound 511))))
+    (fun (cores, log_h, (tcache_entries, tlb), (partitioned, refs)) ->
+      let huge_size = 1 lsl log_h in
+      let t =
+        Machine.create
+          { (smp_config ~cores ~ram:64 ~tlb) with huge_size; tcache_entries }
+      in
+      let run = if partitioned then Machine.run_partitioned else Machine.run in
+      let c = run t (Array.of_list refs) in
+      c.Machine.tlb_hits + c.tlb_misses = c.accesses
+      && c.tcache_hits <= c.tlb_misses
+      && c.ios = huge_size * c.page_faults
+      && c.ipis <= (cores - 1) * c.shootdowns
+      && (cores > 1 || c.ipis = 0))
 
 let () =
   Alcotest.run "atp.os"
@@ -260,5 +333,11 @@ let () =
             test_smp_shootdown_invalidates_tcache;
           Alcotest.test_case "tcache disabled identical" `Quick
             test_smp_tcache_disabled_identical;
+          Alcotest.test_case "zero cores rejected" `Quick
+            test_smp_rejects_zero_cores;
+          Alcotest.test_case "core range" `Quick test_smp_core_range;
+          Alcotest.test_case "obs sums over cores" `Quick
+            test_smp_obs_sums_over_cores;
+          QCheck_alcotest.to_alcotest prop_smp_invariants;
         ] );
     ]
