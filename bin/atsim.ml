@@ -142,7 +142,7 @@ let workload_arg =
 let vpages_arg =
   Arg.(
     value
-    & opt int (1 lsl 20)
+    & opt (int_at_least 1) (1 lsl 20)
     & info [ "vpages" ] ~docv:"PAGES"
         ~doc:"Virtual address space size in pages (ignored by graph500).")
 
@@ -212,7 +212,7 @@ let export_obs reg ~metrics ~trace_out =
     (fun path -> Obs.Trace.write_jsonl path (Obs.Registry.trace reg))
     trace_out
 
-let mk_synthetic_workload kind ~vpages ~seed =
+let synthetic_workload kind ~vpages ~seed =
   let rng = Prng.create ~seed () in
   match kind with
   | `Bimodal ->
@@ -236,9 +236,30 @@ let mk_synthetic_workload kind ~vpages ~seed =
   | `Uniform -> Simple.uniform ~virtual_pages:vpages rng
   | `Sequential -> Simple.sequential ~virtual_pages:vpages ()
 
+(* An input that cannot be used is the caller's error, reported before
+   any simulation starts: a workload that does not fit --vpages, or a
+   --trace-file that cannot be opened, exits 2; an empty trace exits 3,
+   as main does for one that does not parse. *)
+let mk_synthetic_workload kind ~vpages ~seed =
+  try synthetic_workload kind ~vpages ~seed
+  with Invalid_argument msg ->
+    Format.eprintf "atsim: --workload %a does not fit --vpages %d (%s)@."
+      (Arg.conv_printer workload_conv)
+      kind vpages msg;
+    exit exit_usage
+
 let mk_workload ?trace_file kind ~vpages ~seed =
   match trace_file with
-  | Some path -> Trace.workload_of_file path
+  | Some path -> (
+    try Trace.workload_of_file path with
+    | Sys_error msg ->
+      Format.eprintf "atsim: %s@."
+        (if String.starts_with ~prefix:path msg then msg
+         else path ^ ": " ^ msg);
+      exit exit_usage
+    | Invalid_argument msg ->
+      Format.eprintf "atsim: %s: %s@." path msg;
+      exit exit_bad_input)
   | None -> mk_synthetic_workload kind ~vpages ~seed
 
 let scheme_of = function
@@ -289,10 +310,15 @@ let sweep_cmd =
       exit exit_usage
     end;
     let tc_eps = Walker.tcache_epsilon ~epsilon ~tcache_latency:tc_latency in
-    (* Under the runner every size is a task with a private metric
-       registry, so the sweep parallelizes and a killed run resumes.
-       Event tracing shares one ring across tasks, which forces
-       sequential execution when --trace is given. *)
+    (* The input is decoded once, before the runner starts, and every
+       size replays the same two arrays (read-only).  Under the runner
+       every size is a task with a private metric registry, so the
+       sweep parallelizes and a killed run resumes.  Event tracing
+       shares one ring across tasks, which forces sequential execution
+       when --trace is given. *)
+    let w = mk_workload ?trace_file workload ~vpages ~seed in
+    let warmup_trace = Workload.generate w warmup in
+    let trace = Workload.generate w accesses in
     let tracer =
       match trace_out with
       | Some _ -> Obs.Trace.create ~capacity:trace_capacity
@@ -301,9 +327,6 @@ let sweep_cmd =
     let task h =
       Atp_exp.Spec.task ~key:(Printf.sprintf "h=%d" h) (fun reg ->
           if trace_out <> None then Obs.Registry.set_trace reg tracer;
-          let w = mk_workload ?trace_file workload ~vpages ~seed in
-          let warmup_trace = Workload.generate w warmup in
-          let trace = Workload.generate w accesses in
           let m =
             Machine.create
               ~obs:(Obs.Scope.v ~prefix:(Printf.sprintf "machine.h%d" h) reg)
@@ -1087,7 +1110,8 @@ let fleet_cmd =
       $ intf "pinned" 0 "Immortal heavy (noisy-neighbor) tenants."
       $ floatf "pinned-weight" 8.0 "Issue weight of a pinned tenant."
       $ Arg.(
-          value & opt int 4096
+          value
+          & opt (int_at_least 1) 4096
           & info [ "vpages" ] ~docv:"PAGES"
               ~doc:"Per-tenant virtual address space in pages.")
       $ tlb_arg $ ram_arg

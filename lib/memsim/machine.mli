@@ -7,8 +7,11 @@
     Each TLB entry covers [h] virtually contiguous pages that map to
     [h] physically contiguous, aligned frames; consequently each page
     fault moves [h] pages at a cost of [h] IOs (page-fault
-    amplification), and RAM is allocated in aligned order-[log2 h]
-    blocks from a buddy allocator.
+    amplification).  Each resident huge page fills one of the
+    [ram_pages / h] aligned blocks, and the RAM LRU's capacity bounds
+    how many are filled.  No cost depends on which block a huge page
+    occupies, so the machine tracks residency, not frame numbers: the
+    RAM, every TLB and the victim store are LRU sets of huge pages.
 
     The paper notes that multi-core machines have per-core TLBs and
     that parallelism shrinks each thread's TLB share.  With
@@ -69,17 +72,21 @@ type t
 
 val create : ?obs:Atp_obs.Scope.t -> config -> t
 (** [obs] registers [accesses]/[tlb_hits]/[tlb_misses]/[page_faults]/
-    [ios] counters (mirroring {!counters}) plus the TLBs' own under
-    the sub-scope [tlb], where every core's TLB adds into the same
-    counters, and emits [io]/[eviction] trace events.  With more than
-    one core it also registers [shootdowns] and [ipis].  When the
-    reach tier is enabled it additionally registers [tcache_hits] and
-    the tier's TLB counters under [tcache].  Names a configuration
-    does not register are absent from the snapshot, so a one-core
-    machine without the tier snapshots the two-level model's names.
+    [ios] counters (mirroring {!counters}) plus {!Atp_tlb.Tlb}'s
+    [lookups]/[hits]/[misses]/[insertions]/[evictions] under the
+    sub-scope [tlb], where every core's TLB adds into the same
+    counters, and emits [tlb_hit]/[tlb_miss]/[io]/[eviction] trace
+    events.  With more than one core it also registers [shootdowns]
+    and [ipis].  When the reach tier is enabled it additionally
+    registers [tcache_hits] and the same five counters for the store
+    under [tcache] (a recovery counts as one store lookup and hit; a
+    run does not reset them).  Names a configuration does not register
+    are absent from the snapshot, so a one-core machine without the
+    tier snapshots the two-level model's names.
 
     @raise Invalid_argument unless [huge_size] is a power of two no
-    larger than RAM, [cores >= 1] and [tcache_entries >= 0]. *)
+    larger than RAM, [tlb_entries >= 1], [cores >= 1] and
+    [tcache_entries >= 0]. *)
 
 val config : t -> config
 
@@ -101,10 +108,11 @@ val resident_pages : t -> int
 (** Base pages currently in RAM ([h] times the resident huge units). *)
 
 val run : ?warmup:int array -> t -> int array -> counters
-(** [run ~warmup t trace] plays the warmup (counters discarded), then
-    the trace, returning the measured counters.  Reference [i] of
-    either runs on core [i mod cores]: one address space touched
-    round-robin by every core (maximal shootdown traffic). *)
+(** [run ~warmup t trace] plays the warmup (counters discarded, and
+    the [tlb.*] counters zeroed with them), then the trace, returning
+    the measured counters.  Reference [i] of either runs on core
+    [i mod cores]: one address space touched round-robin by every core
+    (maximal shootdown traffic). *)
 
 val run_partitioned : ?warmup:int array -> t -> int array -> counters
 (** {!run}, but each reference runs on the core that owns its huge

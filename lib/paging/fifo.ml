@@ -35,11 +35,12 @@ let access_fast t page =
 let access t page = Policy.outcome_of_fast (access_fast t page)
 
 let remove t page =
-  match Slots.slot_of_page t.slots page with
-  | None -> false
-  | Some slot ->
+  let slot = Slots.find_slot t.slots page in
+  if slot >= 0 then begin
     Lru_list.remove t.order slot;
     ignore (Slots.release t.slots slot);
     true
+  end
+  else false
 
 let resident t = Slots.resident t.slots

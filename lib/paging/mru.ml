@@ -12,14 +12,15 @@ let capacity t = Slots.capacity t.slots
 
 let size t = Slots.size t.slots
 
-let mem t page = Slots.slot_of_page t.slots page <> None
+let mem t page = Slots.find_slot t.slots page >= 0
 
 let access t page =
-  match Slots.slot_of_page t.slots page with
-  | Some slot ->
+  let slot = Slots.find_slot t.slots page in
+  if slot >= 0 then begin
     Lru_list.move_to_front t.order slot;
     Policy.Hit
-  | None ->
+  end
+  else begin
     let evicted =
       if Slots.is_full t.slots then begin
         (* Evict the most recently used page: the list front. *)
@@ -34,15 +35,17 @@ let access t page =
     let slot = Slots.alloc t.slots page in
     Lru_list.push_front t.order slot;
     Policy.Miss { evicted }
+  end
 
 let access_fast t page = Policy.fast_of_outcome (access t page)
 
 let remove t page =
-  match Slots.slot_of_page t.slots page with
-  | None -> false
-  | Some slot ->
+  let slot = Slots.find_slot t.slots page in
+  if slot >= 0 then begin
     Lru_list.remove t.order slot;
     ignore (Slots.release t.slots slot);
     true
+  end
+  else false
 
 let resident t = Slots.resident t.slots

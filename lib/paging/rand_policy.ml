@@ -12,7 +12,7 @@ let capacity t = Slots.capacity t.slots
 
 let size t = Slots.size t.slots
 
-let mem t page = Slots.slot_of_page t.slots page <> None
+let mem t page = Slots.find_slot t.slots page >= 0
 
 let access t page =
   if mem t page then Policy.Hit
@@ -33,10 +33,11 @@ let access t page =
 let access_fast t page = Policy.fast_of_outcome (access t page)
 
 let remove t page =
-  match Slots.slot_of_page t.slots page with
-  | None -> false
-  | Some slot ->
+  let slot = Slots.find_slot t.slots page in
+  if slot >= 0 then begin
     ignore (Slots.release t.slots slot);
     true
+  end
+  else false
 
 let resident t = Slots.resident t.slots

@@ -26,8 +26,6 @@ let size t = Int_table.length t.index
 
 let is_full t = t.free_top = 0
 
-let slot_of_page t page = Int_table.find t.index page
-
 let[@inline] find_slot t page = Int_table.find_or t.index page (-1)
 
 let page_of_slot t slot =

@@ -15,11 +15,9 @@ val size : t -> int
 
 val is_full : t -> bool
 
-val slot_of_page : t -> int -> int option
-
 val find_slot : t -> int -> int
-(** [slot_of_page] without the option: the slot holding the page, or
-    [-1] when absent — the allocation-free lookup for hot paths. *)
+(** The slot holding the page, or [-1] when absent: one allocation-free
+    probe. *)
 
 val page_of_slot : t -> int -> int
 (** Raises [Invalid_argument] if the slot is free.

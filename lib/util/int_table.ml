@@ -3,6 +3,7 @@ type t = {
   mutable values : int array;
   mutable size : int;
   mutable mask : int;          (* capacity - 1; capacity is a power of two *)
+  mutable shift : int;         (* 62 - log2 capacity *)
 }
 
 let empty_key = -1
@@ -11,18 +12,30 @@ let round_up_pow2 n =
   let rec go acc = if acc >= n then acc else go (acc * 2) in
   go 8
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
 let create ?(initial_capacity = 16) () =
   let cap = round_up_pow2 initial_capacity in
   { keys = Array.make cap empty_key;
     values = Array.make cap 0;
     size = 0;
-    mask = cap - 1 }
+    mask = cap - 1;
+    shift = 62 - log2 cap }
 
 let length t = t.size
 
-(* Fibonacci hashing spreads consecutive page numbers, which are the
-   common key pattern, across the table. *)
-let slot_of t key = (key * 0x2545F4914F6CDD1D) land max_int land t.mask
+(* Multiplicative hashing: the home slot is the top log2(capacity) bits
+   of the 62-bit product.  The product's low bits depend only on the
+   key's low bits, so keys that agree modulo the capacity (block bases,
+   strided pages) would share one home slot there and turn linear
+   probing O(n).  The multiplier is not 2^62/φ on purpose: that spreads
+   a block of consecutive pages one key per cache line, and this one
+   packs a hot block into fewer lines (EXPERIMENTS.md, Figure 1's
+   simulator). *)
+let[@inline] hash_slot shift key =
+  ((key * 0x2545F4914F6CDD1D) land max_int) lsr shift
+
+let slot_of t key = hash_slot t.shift key
 
 let check_key key =
   if key < 0 then invalid_arg "Int_table: keys must be non-negative"
@@ -45,6 +58,7 @@ let grow t =
   t.keys <- Array.make cap empty_key;
   t.values <- Array.make cap 0;
   t.mask <- cap - 1;
+  t.shift <- t.shift - 1;
   t.size <- 0;
   for i = 0 to Array.length old_keys - 1 do
     let k = Array.unsafe_get old_keys i in
@@ -179,15 +193,17 @@ module Poly = struct
     mutable values : 'a array;   (* length 0 until the first insert *)
     mutable size : int;
     mutable mask : int;
+    mutable shift : int;
   }
 
   let create ?(initial_capacity = 16) () =
     let cap = round_up_pow2 initial_capacity in
-    { keys = Array.make cap empty_key; values = [||]; size = 0; mask = cap - 1 }
+    { keys = Array.make cap empty_key; values = [||]; size = 0; mask = cap - 1;
+      shift = 62 - log2 cap }
 
   let length t = t.size
 
-  let slot_of t key = (key * 0x2545F4914F6CDD1D) land max_int land t.mask
+  let slot_of t key = hash_slot t.shift key
 
   let check_key key =
     if key < 0 then invalid_arg "Int_table.Poly: keys must be non-negative"
@@ -208,6 +224,7 @@ module Poly = struct
        element exists. *)
     t.values <- Array.make cap old_values.(0);
     t.mask <- cap - 1;
+    t.shift <- t.shift - 1;
     t.size <- 0;
     for i = 0 to Array.length old_keys - 1 do
       let k = Array.unsafe_get old_keys i in

@@ -325,6 +325,31 @@ let prop_access_fast_equals_access =
             trace)
         Registry.names)
 
+(* --- Lru.touch = mem + access_fast on a resident page ----------------- *)
+
+let prop_lru_touch =
+  QCheck.Test.make ~count:100 ~name:"touch refreshes like mem + access_fast"
+    QCheck.(
+      pair (int_range 1 16)
+        (list_of_size Gen.(int_range 1 300) (pair bool (int_bound 40))))
+    (fun (capacity, ops) ->
+      let t = Lru.create ~capacity () and model = Lru.create ~capacity () in
+      let sorted l = List.sort compare l in
+      List.for_all
+        (fun (touch, page) ->
+          if touch then begin
+            let size = Lru.size t and resident = sorted (Lru.resident t) in
+            let hit = Lru.touch t page in
+            let resident_in_model = Lru.mem model page in
+            if resident_in_model then ignore (Lru.access_fast model page);
+            hit = resident_in_model
+            && (hit
+               || Lru.size t = size
+                  && sorted (Lru.resident t) = resident)
+          end
+          else Lru.access_fast t page = Lru.access_fast model page)
+        ops)
+
 let () =
   Alcotest.run "atp.paging"
     (List.map generic_suite all_policies
@@ -357,4 +382,5 @@ let () =
             Alcotest.test_case "registry" `Quick test_registry;
           ] );
         ("access_fast", qsuite [ prop_access_fast_equals_access ]);
+        ("lru touch", qsuite [ prop_lru_touch ]);
       ])

@@ -436,6 +436,55 @@ let prop_int_table_model =
            (fun k v acc -> acc && Int_table.find t k = Some v)
            model true)
 
+(* Keys i·2^s agree in their low s bits: the pattern of block bases and
+   strided pages that a low-bit slot function piles into one home slot.
+   Inserts, removes and growth interleave, so backward-shift deletion
+   runs over whatever clusters the keys form.  Every key of the stride
+   is then looked up, present or not. *)
+let strided_ops =
+  QCheck.(
+    pair (int_bound 20)
+      (list_of_size
+         Gen.(int_range 1 600)
+         (pair (int_bound 255) (option small_nat))))
+
+let replay_strided ~set ~remove ~find ~length (s, ops) =
+  let model = Hashtbl.create 16 in
+  let agrees k = find k = Hashtbl.find_opt model k in
+  List.for_all
+    (fun (i, op) ->
+      let k = i lsl s in
+      (match op with
+       | Some v ->
+         set k v;
+         Hashtbl.replace model k v
+       | None ->
+         let present = Hashtbl.mem model k in
+         Hashtbl.remove model k;
+         if remove k <> present then failwith "remove result mismatch");
+      agrees k)
+    ops
+  && List.for_all (fun i -> agrees (i lsl s)) (List.init 256 Fun.id)
+  && length () = Hashtbl.length model
+
+let prop_int_table_strided =
+  QCheck.Test.make ~name:"int table matches Hashtbl on strided keys"
+    ~count:200 strided_ops (fun input ->
+      let t = Int_table.create ~initial_capacity:4 () in
+      replay_strided input ~set:(Int_table.set t) ~remove:(Int_table.remove t)
+        ~find:(Int_table.find t)
+        ~length:(fun () -> Int_table.length t))
+
+let prop_poly_table_strided =
+  QCheck.Test.make ~name:"poly table matches Hashtbl on strided keys"
+    ~count:200 strided_ops (fun input ->
+      let t = Int_table.Poly.create ~initial_capacity:4 () in
+      replay_strided input
+        ~set:(fun k v -> Int_table.Poly.set t k (string_of_int v))
+        ~remove:(Int_table.Poly.remove t)
+        ~find:(fun k -> Option.map int_of_string (Int_table.Poly.find t k))
+        ~length:(fun () -> Int_table.Poly.length t))
+
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -564,7 +613,9 @@ let () =
         :: Alcotest.test_case "add_if_absent" `Quick test_int_table_add_if_absent
         :: Alcotest.test_case "negative keys" `Quick test_int_table_rejects_negative
         :: Alcotest.test_case "growth" `Quick test_int_table_growth
-        :: qsuite [ prop_int_table_model ] );
+        :: qsuite
+             [ prop_int_table_model; prop_int_table_strided;
+               prop_poly_table_strided ] );
       ( "heap",
         Alcotest.test_case "sorts" `Quick test_heap_sorts
         :: Alcotest.test_case "peek" `Quick test_heap_peek
