@@ -10,8 +10,10 @@ build:
 test:
 	dune runtest
 
-# Static analysis gate (tools/atplint over lib/, bin/ and bench/);
-# needs the 5.1 compiler, a no-op elsewhere.  See docs/LINTING.md.
+# Static analysis gate: tools/atplint judges lib/, bin/ and bench/,
+# and also scans examples/, tools/, test/ and benchmark/ for callers
+# of lib/ exports; needs the 5.1 compiler, a no-op elsewhere.  See
+# docs/LINTING.md.
 lint:
 	dune build @lint
 

@@ -248,19 +248,31 @@ let mk_synthetic_workload kind ~vpages ~seed =
       kind vpages msg;
     exit exit_usage
 
+let open_input path f =
+  try f path with
+  | Sys_error msg ->
+    Format.eprintf "atsim: %s@."
+      (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg);
+    exit exit_usage
+  | Invalid_argument msg ->
+    Format.eprintf "atsim: %s: %s@." path msg;
+    exit exit_bad_input
+
 let mk_workload ?trace_file kind ~vpages ~seed =
   match trace_file with
-  | Some path -> (
-    try Trace.workload_of_file path with
-    | Sys_error msg ->
-      Format.eprintf "atsim: %s@."
-        (if String.starts_with ~prefix:path msg then msg
-         else path ^ ": " ^ msg);
-      exit exit_usage
-    | Invalid_argument msg ->
-      Format.eprintf "atsim: %s: %s@." path msg;
-      exit exit_bad_input)
+  | Some path -> open_input path Trace.workload_of_file
   | None -> mk_synthetic_workload kind ~vpages ~seed
+
+(* Flag values a constructor rejects are a usage error as well: exit 2
+   naming the flags, never 125 from an uncaught Invalid_argument. *)
+let checked flags f =
+  try f ()
+  with Invalid_argument msg ->
+    Format.eprintf "atsim: %s: %s@."
+      (String.concat ", "
+         (List.map (fun (flag, v) -> Printf.sprintf "%s %d" flag v) flags))
+      msg;
+    exit exit_usage
 
 let scheme_of = function
   | `Iceberg -> Params.Iceberg { d = 2 }
@@ -272,7 +284,10 @@ let scheme_of = function
 
 let params_cmd =
   let run ram w scheme =
-    let params = Params.derive ~scheme:(scheme_of scheme) ~p:ram ~w () in
+    let params =
+      checked [ ("--ram", ram); ("-w", w) ] (fun () ->
+          Params.derive ~scheme:(scheme_of scheme) ~p:ram ~w ())
+    in
     Format.printf "%a@." Params.pp params
   in
   Cmd.v
@@ -450,7 +465,7 @@ module Engine = Atp_engine.Engine
 
 let shards_arg =
   Arg.(
-    value & opt int 1
+    value & opt (int_at_least 1) 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Replay through the sharded engine with $(docv) epochs in flight \
@@ -459,14 +474,14 @@ let shards_arg =
 
 let epoch_arg =
   Arg.(
-    value & opt int 262_144
+    value & opt (int_at_least 1) 262_144
     & info [ "epoch" ] ~docv:"LEN"
         ~doc:"Engine mode: references per epoch time-slice.")
 
 let shard_warmup_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 0)) None
     & info [ "shard-warmup" ] ~docv:"N"
         ~doc:
           "Engine mode: warm-up references replayed (then discarded) before \
@@ -488,7 +503,10 @@ let decoupled_cmd =
       trace_file shards epoch shard_warmup stream metrics trace_out
       trace_capacity =
     let reg = mk_registry ~trace_out ~trace_capacity in
-    let params = Params.derive ~scheme:(scheme_of scheme) ~p:ram ~w () in
+    let params =
+      checked [ ("--ram", ram); ("-w", w) ] (fun () ->
+          Params.derive ~scheme:(scheme_of scheme) ~p:ram ~w ())
+    in
     Format.printf "%a@.@." Params.pp params;
     let make_sim ?obs () =
       (* Deterministic from [seed] alone, so engine worker domains can
@@ -507,13 +525,15 @@ let decoupled_cmd =
     if shards > 1 || stream then begin
       let source =
         match trace_file with
-        | Some path when stream -> (
-          match Trace.format_of_file path with
-          | Trace.Streamed -> Engine.source_of_stream path
-          | Trace.Text | Trace.Binary | Trace.Hex ->
-            (* Hex refuses inside load with an import pointer. *)
-            Engine.source_of_array (Trace.load path))
-        | Some path -> Engine.source_of_array (Trace.load path)
+        | Some path when stream ->
+          open_input path (fun path ->
+              match Trace.format_of_file path with
+              | Trace.Streamed -> Engine.source_of_stream path
+              | Trace.Text | Trace.Binary | Trace.Hex ->
+                (* Hex refuses inside load with an import pointer. *)
+                Engine.source_of_array (Trace.load path))
+        | Some path ->
+          open_input path (fun path -> Engine.source_of_array (Trace.load path))
         | None ->
           let wl = mk_synthetic_workload workload ~vpages ~seed in
           Engine.source_of_workload wl ~n:accesses
@@ -610,7 +630,8 @@ let policies_cmd =
       const run $ workload_arg $ vpages_arg $ accesses_arg $ warmup_arg
       $ seed_arg
       $ Arg.(
-          value & opt int 4096
+          value
+          & opt (int_at_least 1) 4096
           & info [ "capacity" ] ~docv:"PAGES" ~doc:"Cache capacity in pages.")
       $ trace_file_arg)
 
@@ -953,7 +974,8 @@ let thp_cmd =
     let warmup_trace = Workload.generate wl warmup in
     let trace = Workload.generate wl accesses in
     let t =
-      Thp.create { Thp.default_config with ram_pages = ram; huge_size }
+      checked [ ("--ram", ram); ("--huge-size", huge_size) ] (fun () ->
+          Thp.create { Thp.default_config with ram_pages = ram; huge_size })
     in
     let c = Thp.run ~warmup:warmup_trace t trace in
     Format.printf "%a@." Thp.pp_counters c;
@@ -1132,6 +1154,9 @@ let compare_cmd =
     let warmup_trace = Workload.generate wl warmup in
     let trace = Workload.generate wl accesses in
     let schemes =
+      checked
+        [ ("--ram", ram); ("--tlb", tlb); ("--huge-size", huge_size) ]
+      @@ fun () ->
       [
         Atp_core.Scheme.physical ~tlb_entries:tlb ~ram_pages:ram ~huge_size:1 ();
         Atp_core.Scheme.physical ~tlb_entries:tlb ~ram_pages:ram ~huge_size ();

@@ -53,8 +53,6 @@ let max_load t = t.current_max
 
 let bin_of t ball = Int_table.find t.ball_bin ball
 
-let layer_of t ball = Int_table.find t.ball_layer ball
-
 let ensure_count_capacity t load =
   let cap = Array.length t.load_count in
   if load >= cap then begin

@@ -33,8 +33,6 @@ val max_load : t -> int
 val bin_of : t -> int -> int option
 (** Which bin a ball is in, if present. *)
 
-val layer_of : t -> int -> int option
-
 val place : t -> ball:int -> bin:int -> layer:int -> unit
 (** Raises [Invalid_argument] if the ball is already present.
 

@@ -28,7 +28,6 @@ let zero_stats =
   }
 
 type 'v t = {
-  capacity : int;
   front_fam : Hashing.family;  (* 1 hash onto front bins *)
   back_fam : Hashing.family;  (* 2 hashes onto back bins *)
   front_keys : int array;  (* bins * front_width; -1 = empty *)
@@ -48,7 +47,6 @@ let create ?(seed = 0x1CE) ~capacity () =
   let bins = max 1 ((capacity + (6 - 1)) / 6) in
   let rng = Prng.create ~seed () in
   {
-    capacity;
     front_fam = Hashing.family rng ~k:1 ~range:bins;
     back_fam = Hashing.family rng ~k:2 ~range:bins;
     front_keys = Array.make (bins * front_width) (-1);
@@ -62,11 +60,7 @@ let create ?(seed = 0x1CE) ~capacity () =
     stats = zero_stats;
   }
 
-let capacity t = t.capacity
-
 let length t = t.length
-
-let load_factor t = float_of_int t.length /. float_of_int t.capacity
 
 let overflow_count t = Hashtbl.length t.overflow
 

@@ -34,12 +34,7 @@ val create : ?seed:int -> capacity:int -> unit -> 'v t
 
     @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'v t -> int
-
 val length : 'v t -> int
-
-val load_factor : 'v t -> float
-(** [length / capacity]. *)
 
 val insert : 'v t -> int -> 'v -> unit
 (** Insert or replace.  Keys must be non-negative. *)

@@ -61,11 +61,3 @@ let run ?(bin_capacity = max_int) ~game ~strategy ops =
     failed_balls = !failed;
     peak_balls = !peak;
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "ops=%a inserts=%a deletes=%a max-load(ever)=%d max-load(final)=%d \
-     avg-load(final)=%.2f failed=%a peak-balls=%a"
-    Stats.pp_count r.ops Stats.pp_count r.inserts Stats.pp_count r.deletes
-    r.max_load_ever r.max_load_final r.avg_load_final Stats.pp_count
-    r.failed_balls Stats.pp_count r.peak_balls

@@ -25,5 +25,3 @@ val run :
     The op sequence is consumed exactly once (it may carry internal
     state).  A ball keeps its failed label until deleted, per the
     paper's analysis; failed balls still occupy their bin. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -48,9 +48,6 @@ val iceberg : Atp_util.Prng.t -> ?d:int -> tau:int -> bins:int -> unit -> t
 val front_yard : int
 (** Layer index of Iceberg's front yard (0). *)
 
-val back_yard : int
-(** Layer index of Iceberg's back yard (1). *)
-
 val default_tau : m:int -> bins:int -> int
 (** The front-yard cap used by our experiments:
     [ceil (1.05 * m / bins)], i.e. [(1 + o(1)) * lambda] with a 5%

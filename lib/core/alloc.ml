@@ -17,7 +17,6 @@ type t = {
   free_in : int array;     (* per bucket free-slot count *)
   code_of : Int_table.t;   (* page -> packed location *)
   mutable total_free : int;
-  mutable failures_now : int;
   mutable failures_total : int;
   mutable fallback_cursor : int;  (* rotating scan start for fallbacks *)
   b_div : Divider.t;  (* strength-reduced / and mod by bucket_size *)
@@ -35,7 +34,6 @@ let create ?(seed = 0xA7B) params =
     free_in = Array.make buckets bucket_size;
     code_of = Int_table.create ();
     total_free = buckets * bucket_size;
-    failures_now = 0;
     failures_total = 0;
     fallback_cursor = 0;
     b_div = Divider.make bucket_size;
@@ -121,7 +119,6 @@ let[@atplint.hot] insert_code t page =
       t.back_load.(bin) <- t.back_load.(bin) + 1;
       let frame = (bin * bucket_size) + slot in
       Int_table.set t.code_of page (-frame - 1);
-      t.failures_now <- t.failures_now + 1;
       t.failures_total <- t.failures_total + 1;
       -frame - 1
     end
@@ -169,11 +166,8 @@ let[@atplint.hot] delete t page =
     let bin = Divider.div t.b_div frame in
     let slot = frame - (bin * bucket_size) in
     release_slot t bin slot;
-    t.back_load.(bin) <- t.back_load.(bin) - 1;
-    t.failures_now <- t.failures_now - 1
+    t.back_load.(bin) <- t.back_load.(bin) - 1
   end
-
-let failures_now t = t.failures_now
 
 let failures_total t = t.failures_total
 

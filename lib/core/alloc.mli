@@ -60,12 +60,9 @@ val delete : t -> int -> unit
 
     @raise Invalid_argument if the page is not resident. *)
 
-val missing_code : int
-(** [min_int]: {!code_of}'s answer for a non-resident page. *)
-
 val code_of : t -> int -> int
 (** The resident page's packed code (as {!insert_code} returned it),
-    or {!missing_code}.  Allocation-free. *)
+    or [min_int] for a non-resident page.  Allocation-free. *)
 
 val location_of : t -> int -> location option
 
@@ -76,9 +73,6 @@ val mem : t -> int -> bool
 val bin_of_choice : t -> page:int -> choice:int -> int
 (** The bucket the [choice]-th hash assigns to [page]; the decoder uses
     this to reconstruct frames from (choice, slot) pairs. *)
-
-val failures_now : t -> int
-(** Pages currently parked in fallback frames (the set F). *)
 
 val failures_total : t -> int
 (** Paging failures since creation. *)

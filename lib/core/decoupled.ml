@@ -12,7 +12,6 @@ type translation =
    which is exactly the model's free ψ update. *)
 
 type t = {
-  params : Params.t;
   alloc : Alloc.t;
   enc : Encoding.t;
   values : Encoding.value Int_table.Poly.t;
@@ -23,15 +22,12 @@ type t = {
 let create ?seed params =
   let alloc = Alloc.create ?seed params in
   {
-    params;
     alloc;
     enc = Encoding.create alloc;
     values = Int_table.Poly.create ~initial_capacity:4096 ();
     counts = Int_table.create ();
     in_tlb = Int_table.create ();
   }
-
-let params t = t.params
 
 let alloc t = t.alloc
 
@@ -115,11 +111,3 @@ let translate t v =
   if code >= 0 then Frame code
   else if code = fault_code then Decode_fault
   else Not_covered
-
-let decoded_frame t v =
-  let u = Encoding.huge_of t.enc v in
-  match Int_table.Poly.find t.values u with
-  | None -> None
-  | Some value ->
-    let frame = Encoding.decode t.enc v value in
-    if frame < 0 then None else Some frame

@@ -23,8 +23,6 @@ type translation =
 
 val create : ?seed:int -> Params.t -> t
 
-val params : t -> Params.t
-
 val alloc : t -> Alloc.t
 
 val h_max : t -> int
@@ -63,24 +61,11 @@ val tlb_size : t -> int
 val translate : t -> int -> translation
 (** Look up page [v] through the decoupled TLB. *)
 
-val translate_code : t -> int -> int
-(** Allocation-free [translate]: the frame φ(v) when [>= 0], else
-    {!fault_code} or {!not_covered_code}.  [translate] is this
-    function's boxed view. *)
-
 val translate_covered_code : t -> int -> int -> int
-(** [translate_covered_code t v u] is {!translate_code} for a page
-    whose huge page [u] is already known to be TLB-covered — the
-    membership probe is skipped, so [not_covered_code] is never
-    returned.  {!Simulation.access} calls this right after ensuring
-    coverage. *)
+(** [translate_covered_code t v u] is the frame φ(v) when [>= 0],
+    else {!fault_code}, for a page whose huge page [u] is already known
+    to be TLB-covered: the membership probe is skipped.
+    {!Simulation.access} calls this right after ensuring coverage. *)
 
 val fault_code : int
 (** [-1]: covered but f returned ⊥ ([Decode_fault]). *)
-
-val not_covered_code : int
-(** [-2]: no TLB entry for r(v) ([Not_covered]). *)
-
-val decoded_frame : t -> int -> int option
-(** Debug/verification view: what f would return for [v] if its huge
-    page were covered; bypasses TLB membership. *)

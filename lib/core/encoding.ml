@@ -29,8 +29,6 @@ let h_max t = t.h_max
 
 let bits_used t = t.h_max * t.bits_per_page
 
-let null_code t = t.null
-
 let[@inline] [@atplint.hot] huge_of t v = Divider.div t.h_div v
 
 let[@inline] [@atplint.hot] index_of t v = Divider.rem t.h_div v

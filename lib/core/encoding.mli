@@ -25,14 +25,8 @@ val h_max : t -> int
 val bits_used : t -> int
 (** [h_max × bits_per_page]; always [<= w]. *)
 
-val null_code : t -> int
-(** The field value meaning ⊥. *)
-
 val huge_of : t -> int -> int
 (** [r(v) = v / h_max], the covering huge page. *)
-
-val index_of : t -> int -> int
-(** [v mod h_max], the field index of [v] within ψ(r(v)). *)
 
 val empty_value : t -> value
 (** A ψ with every field null. *)

@@ -33,8 +33,6 @@ let create ?seed ~ram_pages ~chunk ~w ~tlb_entries () =
   let sim = Simulation.create ?seed ~params ~x ~y () in
   { chunk; sim; h_max = params.Params.h_max }
 
-let h_max t = t.h_max
-
 let coverage t = t.chunk * t.h_max
 
 let access t page = Simulation.access t.sim (page / t.chunk)

@@ -40,10 +40,6 @@ val create :
     @raise Invalid_argument unless the chunk is a power of two spanning
     at least two frames. *)
 
-val h_max : t -> int
-
-val coverage : t -> int
-
 val access : t -> int -> unit
 
 val report : t -> report

@@ -52,7 +52,4 @@ val usable_pages : t -> int
 (** [(1 - delta) · p], the active-set budget handed to the
     RAM-replacement policy. *)
 
-val log2_ceil : int -> int
-(** Smallest [b] with [2^b >= n]; 0 for [n <= 1]. *)
-
 val pp : Format.formatter -> t -> unit

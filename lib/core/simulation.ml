@@ -64,8 +64,6 @@ let[@atplint.allow "hot-path-alloc-transitive"] create ?seed ?obs ~params
     g_max_bucket_load = Obs.Scope.gauge obs "max_bucket_load";
   }
 
-let decoupled t = t.d
-
 (* A residency change rewrites the ψ field of the covering huge page;
    when that huge page is TLB-covered, the materialized entry must be
    refreshed too — the ψ-update cost the SMP model charges IPIs for. *)

@@ -60,8 +60,6 @@ val create :
     @raise Invalid_argument if [y]'s capacity exceeds the (1-delta)P
     budget. *)
 
-val decoupled : t -> Decoupled.t
-
 val access : t -> int -> unit
 (** Service one virtual page request through Z.  X and Y step through
     their {!Atp_paging.Policy.S.access_fast}, so no outcome block is

@@ -9,8 +9,6 @@ type config = {
   warmup : int;
 }
 
-let default_config = { shards = 4; epoch_len = 1 lsl 20; warmup = 1 lsl 20 }
-
 let validate_config c =
   if c.shards < 1 then invalid_arg "Engine: shards must be positive";
   if c.epoch_len < 1 then invalid_arg "Engine: epoch_len must be positive";

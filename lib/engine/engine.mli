@@ -3,12 +3,13 @@
     Sequential replay ({!Atp_core.Simulation.run}) walks a
     fully-materialized trace on one core; production-scale traces
     (billions of references) fit neither RAM nor patience.  This
-    engine consumes a {e pull stream} of references, time-slices it
-    into epochs of [epoch_len] references, replays each epoch on a
-    fresh simulator prefixed with the [warmup] references that
-    precede it in the stream (counters reset after warm-up, exactly
-    like {!Atp_core.Simulation.run}'s warm-up), and merges the
-    per-epoch reports in stream order.  Epochs are replayed up to
+    engine pulls references from a block {!source} (an array, a
+    workload or a packed ATPS file, filled a block at a time),
+    time-slices them into epochs of [epoch_len] references, replays
+    each epoch on a fresh simulator prefixed with the [warmup]
+    references that precede it in the stream (counters reset after
+    warm-up, exactly like {!Atp_core.Simulation.run}'s warm-up), and
+    merges the per-epoch reports in stream order.  Epochs are replayed up to
     [shards] at a time on separate domains via
     {!Atp_util.Parallel.map}; on OCaml < 5 the same code runs
     sequentially with identical results, because the merge order is
@@ -51,9 +52,6 @@ type config = {
       (** references re-executed (then discarded from counts) before
           each epoch; clipped to the available prefix (>= 0) *)
 }
-
-val default_config : config
-(** 4 shards, 1 Mi-reference epochs, warm-up of one epoch. *)
 
 val documented_error_bound : float
 (** Relative cost error ([|sharded - sequential| / sequential]) that

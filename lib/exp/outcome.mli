@@ -34,9 +34,6 @@ val wall_s : t -> float
 val obs : t -> Json.t option
 (** The task's private obs-registry snapshot, when [ok]. *)
 
-val field : string -> t -> Json.t option
-(** [field k t] is [data]'s member [k]. *)
-
 val int_field : string -> t -> int option
 
 val float_field : string -> t -> float option

@@ -32,15 +32,8 @@ let col_float ?(width = 14) ?(decimals = 1) ?field header =
               (Json.as_float v)));
   }
 
-let col_string ?(width = 14) ?field header =
-  let field = Option.value field ~default:header in
-  {
-    header;
-    width;
-    render = (fun data -> cell_of data field ~none:"-" ~render:Json.as_string);
-  }
-
-let print_table ?(out = stdout) ?(key_header = "task") ~columns outcomes =
+let print_table ?(out = stdout) ~columns outcomes =
+  let key_header = "task" in
   let key_width =
     List.fold_left
       (fun acc (o : Outcome.t) -> max acc (String.length o.Outcome.key))

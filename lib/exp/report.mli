@@ -16,14 +16,9 @@ val col_int : ?width:int -> ?field:string -> string -> column
 
 val col_float : ?width:int -> ?decimals:int -> ?field:string -> string -> column
 
-val col_string : ?width:int -> ?field:string -> string -> column
-
 val print_table :
-  ?out:out_channel ->
-  ?key_header:string ->
-  columns:column list ->
-  Outcome.t list ->
-  unit
+  ?out:out_channel -> columns:column list -> Outcome.t list -> unit
+(** One row per outcome under a ["task"] key column. *)
 
 val shape_line : (string * int * int) list -> string
 (** The figure sweeps' one-line trend summary over [(key, ios,

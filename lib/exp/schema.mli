@@ -25,9 +25,6 @@
 
 module Json = Atp_obs.Json
 
-val version : string
-(** ["atp.bench/1"]. *)
-
 val meta_line :
   experiment:string -> params:(string * Json.t) list -> tasks:int -> Json.t
 

@@ -42,9 +42,6 @@ val default : config
 (** 64-entry TLB, 1024-frame RAM, 8-bit ASIDs (so churny fleets
     actually exercise recycling), 24-bit pages. *)
 
-val validate : config -> unit
-(** @raise Invalid_argument on any out-of-range field. *)
-
 type tenant_stats = {
   tenant : int;
   accesses : int;

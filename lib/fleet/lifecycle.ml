@@ -14,19 +14,6 @@ type config = {
   pinned_weight : float;
 }
 
-let default =
-  {
-    seed = 1;
-    ticks = 2_000;
-    arrival_rate = 0.5;
-    mean_lifetime = 200.0;
-    accesses_per_tick = 64;
-    max_active = 256;
-    initial = 16;
-    pinned = 0;
-    pinned_weight = 8.0;
-  }
-
 let validate cfg =
   if cfg.ticks < 0 then invalid_arg "Lifecycle: negative ticks";
   if cfg.arrival_rate < 0.0 then invalid_arg "Lifecycle: negative arrival_rate";

@@ -32,10 +32,6 @@ type config = {
   pinned_weight : float;  (** issue weight of a pinned tenant (> 0) *)
 }
 
-val default : config
-(** 2 k ticks, 0.5 arrivals/tick, 200-tick lifetimes, 64 refs/tick,
-    cap 256, 16 initial tenants, no pinned tenants. *)
-
 val validate : config -> unit
 (** @raise Invalid_argument on any out-of-range field (see the bounds
     on {!config}). *)

@@ -8,15 +8,9 @@ type 'a t = {
 let create ?initial_capacity () =
   { table = Int_table.Poly.create ?initial_capacity (); peak = 0 }
 
-let length t = Int_table.Poly.length t.table
-
 let peak t = t.peak
 
-let mem t id = Int_table.Poly.mem t.table id
-
 let find t id = Int_table.Poly.find t.table id
-
-let find_exn t id = Int_table.Poly.find_exn t.table id
 
 let set t id v =
   Int_table.Poly.set t.table id v;
@@ -26,10 +20,3 @@ let set t id v =
 let remove t id = Int_table.Poly.remove t.table id
 
 let iter f t = Int_table.Poly.iter f t.table
-
-let fold f t acc = Int_table.Poly.fold f t.table acc
-
-let to_sorted_list t =
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (fold (fun id v acc -> (id, v) :: acc) t [])

@@ -10,18 +10,10 @@ type 'a t
 
 val create : ?initial_capacity:int -> unit -> 'a t
 
-val length : 'a t -> int
-(** Currently active tenants. *)
-
 val peak : 'a t -> int
-(** Largest [length] ever observed. *)
-
-val mem : 'a t -> int -> bool
+(** Largest number of tenants ever held at once. *)
 
 val find : 'a t -> int -> 'a option
-
-val find_exn : 'a t -> int -> 'a
-(** @raise Not_found when the tenant is absent. *)
 
 val set : 'a t -> int -> 'a -> unit
 (** Insert or overwrite. *)
@@ -30,9 +22,3 @@ val remove : 'a t -> int -> bool
 (** Returns whether the tenant was present. *)
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
-
-val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-
-val to_sorted_list : 'a t -> (int * 'a) list
-(** Snapshot sorted by tenant id — deterministic regardless of hash
-    order. *)

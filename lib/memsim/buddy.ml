@@ -54,8 +54,6 @@ let order_of_size n =
     Some (go 0 n)
   end
 
-let frames t = t.frames
-
 let free_frames t = t.free_count
 
 let used_frames t = t.frames - t.free_count

@@ -19,8 +19,6 @@ val order_of_size : int -> int option
     block of [n] frames is allocated at, and [None] when [n] is not a
     positive power of two. *)
 
-val frames : t -> int
-
 val free_frames : t -> int
 
 val used_frames : t -> int

@@ -129,8 +129,6 @@ let create ?obs cfg =
     c_ipis = Obs.Scope.counter cores_obs "ipis";
   }
 
-let config t = t.cfg
-
 let counters t =
   {
     accesses = Obs.Counter.value t.c_accesses;

@@ -88,8 +88,6 @@ val create : ?obs:Atp_obs.Scope.t -> config -> t
     larger than RAM, [tlb_entries >= 1], [cores >= 1] and
     [tcache_entries >= 0]. *)
 
-val config : t -> config
-
 val access : t -> core:int -> int -> unit
 (** Service one virtual base-page reference on [core].
 

@@ -4,13 +4,6 @@ type result = {
   cycles : int;
 }
 
-type stats = {
-  walks : int;
-  total_cycles : int;
-  total_memory_accesses : int;
-  host_tlb_hits : int;
-}
-
 (* Guest page-table nodes are modeled as living at deterministic
    guest-physical addresses derived from their radix-path prefix, in a
    region far above ordinary guest data; the host backs them on
@@ -23,33 +16,32 @@ type stats = {
 let pt_region_base = 1 lsl 34
 
 type t = {
-  config : Walker.config;
   guest : Page_table.t;
   host : Page_table.t;
   host_walker : Walker.t;
   host_tlb : int Atp_tlb.Tlb.t;  (* gPA page -> hPA frame *)
   mutable next_host_frame : int;
-  mutable stats : stats;
+  mutable walks : int;
+  mutable total_cycles : int;
 }
 
-let create ?(config = Walker.default_config) ?(host_tlb_entries = 64) () =
+let config = Walker.default_config
+
+let create () =
   let host = Page_table.create () in
   {
-    config;
     guest = Page_table.create ();
     host;
     host_walker = Walker.create ~config host;
-    host_tlb = Atp_tlb.Tlb.create ~entries:host_tlb_entries ();
+    host_tlb = Atp_tlb.Tlb.create ~entries:64 ();
     next_host_frame = 0;
-    stats =
-      { walks = 0; total_cycles = 0; total_memory_accesses = 0; host_tlb_hits = 0 };
+    walks = 0;
+    total_cycles = 0;
   }
 
 let guest_map t ~gva ~gpa = Page_table.map t.guest ~vpage:gva ~frame:gpa ()
 
 let host_map t ~gpa ~hpa = Page_table.map t.host ~vpage:gpa ~frame:hpa ()
-
-let guest_unmap t ~gva = Page_table.unmap t.guest ~vpage:gva
 
 let fresh_host_frame t =
   let f = t.next_host_frame in
@@ -60,9 +52,7 @@ let fresh_host_frame t =
    backing it on demand; returns (hframe, memory_accesses, cycles). *)
 let host_translate t gpa =
   match Atp_tlb.Tlb.lookup t.host_tlb gpa with
-  | Some hframe ->
-    t.stats <- { t.stats with host_tlb_hits = t.stats.host_tlb_hits + 1 };
-    (hframe, 0, 1)
+  | Some hframe -> (hframe, 0, 1)
   | None ->
     let walk () = Walker.translate t.host_walker gpa in
     let r = walk () in
@@ -94,7 +84,7 @@ let translate t gva =
   for depth = Page_table.levels - 1 downto Page_table.levels - guest_visits do
     let _, m, c = host_translate t (node_gpa gva ~depth) in
     memory := !memory + m + 1;
-    cycles := !cycles + c + t.config.memory_latency
+    cycles := !cycles + c + config.memory_latency
   done;
   let hframe =
     match mapping with
@@ -106,21 +96,13 @@ let translate t gva =
       cycles := !cycles + cyc;
       Some hframe
   in
-  let s = t.stats in
-  t.stats <-
-    {
-      s with
-      walks = s.walks + 1;
-      total_cycles = s.total_cycles + !cycles;
-      total_memory_accesses = s.total_memory_accesses + !memory;
-    };
+  t.walks <- t.walks + 1;
+  t.total_cycles <- t.total_cycles + !cycles;
   { hframe; memory_accesses = !memory; cycles = !cycles }
 
-let stats t = t.stats
-
 let average_cycles t =
-  if t.stats.walks = 0 then 0.0
-  else float_of_int t.stats.total_cycles /. float_of_int t.stats.walks
+  if t.walks = 0 then 0.0
+  else float_of_int t.total_cycles /. float_of_int t.walks
 
 let epsilon t ~io_latency_cycles =
   if io_latency_cycles <= 0 then invalid_arg "Nested.epsilon: bad IO latency";

@@ -19,20 +19,13 @@ type result = {
   cycles : int;
 }
 
-type stats = {
-  walks : int;
-  total_cycles : int;
-  total_memory_accesses : int;
-  host_tlb_hits : int;
-}
-
 type t
 
-val create :
-  ?config:Walker.config -> ?host_tlb_entries:int -> unit -> t
-(** [host_tlb_entries] defaults to 64 (a nested-TLB size).  Guest
-    page-table nodes are assigned guest-physical homes and host-mapped
-    automatically, as a hypervisor would back guest memory. *)
+val create : unit -> t
+(** Host walks use {!Walker.default_config}, and the host TLB has 64
+    entries (a nested-TLB size).  Guest page-table nodes are assigned
+    guest-physical homes and host-mapped automatically, as a
+    hypervisor would back guest memory. *)
 
 val guest_map : t -> gva:int -> gpa:int -> unit
 (** Install a guest base-page translation. *)
@@ -40,14 +33,10 @@ val guest_map : t -> gva:int -> gpa:int -> unit
 val host_map : t -> gpa:int -> hpa:int -> unit
 (** Back a guest-physical page with a host frame. *)
 
-val guest_unmap : t -> gva:int -> bool
-
 val translate : t -> int -> result
 (** The full nested walk for a guest-virtual page.  Guest-physical
     pages without a host mapping are backed on demand (identity), so a
     [None] result means the {e guest} mapping is absent. *)
-
-val stats : t -> stats
 
 val average_cycles : t -> float
 

@@ -32,8 +32,6 @@ val levels : int
 val fanout_bits : int
 (** 9: each level resolves 9 bits of the virtual page number. *)
 
-val max_vpage : t -> int
-
 val create : unit -> t
 
 val map :

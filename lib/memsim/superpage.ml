@@ -288,11 +288,3 @@ let run ?warmup t trace =
   counters t
 
 let ledger c = { Atp_obs.Cost.zero with ios = c.ios; tlb = c.tlb_misses }
-
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "accesses=%a tlb-misses=%a ios=%a faults=%a reservations=%a promotions=%a \
-     preemptions=%a huge-evictions=%a"
-    Stats.pp_count c.accesses Stats.pp_count c.tlb_misses Stats.pp_count c.ios
-    Stats.pp_count c.faults Stats.pp_count c.reservations Stats.pp_count
-    c.promotions Stats.pp_count c.preemptions Stats.pp_count c.huge_evictions

@@ -57,5 +57,3 @@ val run : ?warmup:int array -> t -> int array -> counters
 
 val ledger : counters -> Atp_obs.Cost.t
 (** IOs and TLB misses. *)
-
-val pp_counters : Format.formatter -> counters -> unit

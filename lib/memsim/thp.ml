@@ -89,8 +89,6 @@ let create cfg =
     counters = zero;
   }
 
-let config t = t.cfg
-
 let counters t = t.counters
 
 let reset_counters t = t.counters <- zero

@@ -46,8 +46,6 @@ val create : config -> t
 (** @raise Invalid_argument unless [huge_size] is a power of two (at
     least 2) no larger than RAM and [promote_fraction] is in [0, 1]. *)
 
-val config : t -> config
-
 val access : t -> int -> unit
 (** @raise Invalid_argument if the page is negative. *)
 

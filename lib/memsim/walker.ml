@@ -197,8 +197,6 @@ let invalidate_page t vpage =
   | None -> ()
   | Some tc -> ignore (Atp_tlb.Tlb.invalidate tc vpage)
 
-let tcache_enabled t = Option.is_some t.tcache
-
 let stats t = t.stats
 
 let average_cycles t =

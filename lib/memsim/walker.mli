@@ -89,8 +89,6 @@ val invalidate_page : t -> int -> unit
     every unrelated entry intact.  Single-page unmaps use this so one
     unmap no longer destroys the whole walk-cache working set. *)
 
-val tcache_enabled : t -> bool
-
 val stats : t -> stats
 
 val average_cycles : t -> float

@@ -1,8 +1,6 @@
-type t = { name : string; mutable value : int }
+type t = { mutable value : int }
 
-let create name = { name; value = 0 }
-
-let name t = t.name
+let create () = { value = 0 }
 
 let[@inline] incr t = t.value <- t.value + 1
 

@@ -19,8 +19,6 @@ type kind =
 
 type t = { seq : int; kind : kind; subject : int; detail : int }
 
-val kind_to_string : kind -> string
-
 val to_json : t -> Json.t
 (** [{"seq":…,"kind":"tlb_miss","subject":…,"detail":…}] — one JSONL
     record of the trace schema. *)

@@ -1,8 +1,6 @@
-type t = { name : string; mutable value : float }
+type t = { mutable value : float }
 
-let create name = { name; value = 0.0 }
-
-let name t = t.name
+let create () = { value = 0.0 }
 
 let set t v = t.value <- v
 

@@ -3,9 +3,7 @@
 
 type t
 
-val create : string -> t
-
-val name : t -> string
+val create : unit -> t
 
 val set : t -> float -> unit
 

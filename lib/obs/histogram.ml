@@ -1,15 +1,12 @@
 open Atp_util
 
 type t = {
-  name : string;
   mutable summary : Stats.Summary.t;
   mutable log : Stats.Log_histogram.t;
 }
 
-let create name =
-  { name; summary = Stats.Summary.create (); log = Stats.Log_histogram.create () }
-
-let name t = t.name
+let create () =
+  { summary = Stats.Summary.create (); log = Stats.Log_histogram.create () }
 
 let observe t v =
   Stats.Log_histogram.add t.log v;

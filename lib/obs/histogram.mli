@@ -5,9 +5,7 @@
 
 type t
 
-val create : string -> t
-
-val name : t -> string
+val create : unit -> t
 
 val observe : t -> int -> unit
 (** Raises [Invalid_argument] on negative values (log buckets). *)

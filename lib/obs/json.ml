@@ -61,24 +61,6 @@ let to_string v =
   to_buffer buf v;
   Buffer.contents buf
 
-let to_channel oc v = output_string oc (to_string v)
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> Bool.equal x y
-  | Int x, Int y -> Int.equal x y
-  | Float x, Float y -> Float.equal x y
-  | String x, String y -> String.equal x y
-  | List xs, List ys ->
-    List.length xs = List.length ys && List.for_all2 equal xs ys
-  | Obj xs, Obj ys ->
-    List.length xs = List.length ys
-    && List.for_all2
-         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2)
-         xs ys
-  | (Null | Bool _ | Int _ | Float _ | String _ | List _ | Obj _), _ -> false
-
 (* --- parsing ------------------------------------------------------ *)
 
 (* A recursive-descent parser for the subset this serializer emits
@@ -321,12 +303,3 @@ let as_float = function
 let as_string = function
   | String s -> Some s
   | Null | Bool _ | Int _ | Float _ | List _ | Obj _ -> None
-
-let as_list = function
-  | List items -> Some items
-  | Null | Bool _ | Int _ | Float _ | String _ | Obj _ -> None
-
-let as_obj = function
-  | Obj fields -> Some fields
-  | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
-

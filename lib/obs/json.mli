@@ -18,12 +18,6 @@ val to_buffer : Buffer.t -> t -> unit
 
 val to_string : t -> string
 
-val to_channel : out_channel -> t -> unit
-
-val equal : t -> t -> bool
-(** Structural equality.  Field order in objects is significant (the
-    serializer is deterministic, so equal values serialize equally). *)
-
 val of_string : string -> (t, string) result
 (** Parse one JSON value (with optional surrounding whitespace) from
     the whole string.  Number literals without [.]/[e] parse as {!Int},
@@ -48,7 +42,3 @@ val as_float : t -> float option
 (** Accepts both {!Float} and {!Int} (promoted). *)
 
 val as_string : t -> string option
-
-val as_list : t -> t list option
-
-val as_obj : t -> (string * t) list option

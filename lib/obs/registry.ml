@@ -17,7 +17,7 @@ let intern table make name =
   match Hashtbl.find_opt table name with
   | Some m -> m
   | None ->
-    let m = make name in
+    let m = make () in
     Hashtbl.add table name m;
     m
 
@@ -70,19 +70,3 @@ let write_metrics path t =
   output_string oc (snapshot_string t);
   output_char oc '\n';
   close_out oc
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (name, v) ->
-      Format.fprintf ppf "%s = %a@," name Atp_util.Stats.pp_count v)
-    (counters t);
-  List.iter
-    (fun (name, g) -> Format.fprintf ppf "%s = %g@," name (Gauge.value g))
-    (sorted_bindings t.gauges);
-  List.iter
-    (fun (name, h) ->
-      Format.fprintf ppf "%s = %a@," name Atp_util.Stats.Summary.pp
-        (Histogram.summary h))
-    (sorted_bindings t.histograms);
-  Format.fprintf ppf "@]"

@@ -39,6 +39,3 @@ val snapshot_string : t -> string
 val write_metrics : string -> t -> unit
 (** [write_metrics path t] writes [snapshot] to a file, newline
     terminated. *)
-
-val pp : Format.formatter -> t -> unit
-(** One [name = value] line per counter/gauge/histogram, sorted. *)

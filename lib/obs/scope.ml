@@ -4,8 +4,6 @@ let v ?(prefix = "") registry = { registry; prefix }
 
 let null () = { registry = Registry.create (); prefix = "" }
 
-let registry t = t.registry
-
 let prefix t = t.prefix
 
 let full t name = if t.prefix = "" then name else t.prefix ^ "." ^ name
@@ -19,6 +17,3 @@ let gauge t name = Registry.gauge t.registry (full t name)
 let histogram t name = Registry.histogram t.registry (full t name)
 
 let tracer t = Registry.trace t.registry
-
-let emit t ?detail kind subject =
-  Trace.emit (Registry.trace t.registry) ?detail kind subject

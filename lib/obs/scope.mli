@@ -18,8 +18,6 @@ val null : unit -> t
 (** A scope over a fresh private registry with tracing disabled: the
     default when no [?obs] is passed. *)
 
-val registry : t -> Registry.t
-
 val prefix : t -> string
 
 val sub : t -> string -> t
@@ -30,10 +28,6 @@ val counter : t -> string -> Counter.t
 val gauge : t -> string -> Gauge.t
 
 val histogram : t -> string -> Histogram.t
-
-val emit : t -> ?detail:int -> Event.kind -> int -> unit
-(** Forward to the registry's tracer; a no-op branch when tracing is
-    disabled. *)
 
 val tracer : t -> Trace.t
 (** The registry's tracer.  Hot components capture it once at creation

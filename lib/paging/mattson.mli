@@ -13,10 +13,6 @@
 
 type t
 
-val create : unit -> t
-
-val access : t -> int -> unit
-
 val of_trace : int array -> t
 
 val accesses : t -> int

@@ -39,8 +39,6 @@ let create ~capacity trace =
     step = 0;
   }
 
-let capacity t = t.capacity
-
 let size t = Int_table.length t.resident
 
 let mem t page = Int_table.mem t.resident page

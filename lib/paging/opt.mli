@@ -15,22 +15,12 @@ val create : capacity:int -> int array -> t
 
     @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : t -> int
-
-val size : t -> int
-
-val mem : t -> int -> bool
-
 val access : t -> int -> Policy.outcome
 (** The [i]th call must request [trace.(i)]; raises [Invalid_argument]
     otherwise, and when the trace is exhausted.
 
     @raise Invalid_argument if the request deviates from, or runs past,
     the pre-recorded trace. *)
-
-val remove : t -> int -> bool
-
-val resident : t -> int list
 
 val misses : capacity:int -> int array -> int
 (** Total misses incurred by OPT on the trace. *)

@@ -12,8 +12,6 @@ let fast_miss_free = -2
 
 let[@inline] fast_is_hit f = f = fast_hit
 
-let[@inline] fast_is_miss f = f <> fast_hit
-
 let[@inline] fast_evicted f = if f >= 0 then f else -1
 
 let outcome_of_fast f =

@@ -26,8 +26,6 @@ val fast_miss_free : int
 
 val fast_is_hit : int -> bool
 
-val fast_is_miss : int -> bool
-
 val fast_evicted : int -> int
 (** The evicted page, or [-1] on a hit or free fill. *)
 

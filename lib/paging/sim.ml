@@ -19,33 +19,11 @@ let record stats outcome =
       evictions = (stats.evictions + if evicted = None then 0 else 1);
     }
 
-let run ?on_event instance trace =
-  let stats = ref empty_stats in
-  Array.iteri
-    (fun i page ->
-      let outcome = instance.Policy.access page in
-      stats := record !stats outcome;
-      match on_event with
-      | Some f -> f i outcome
-      | None -> ())
-    trace;
-  !stats
-
-let run_seq instance seq =
-  let stats = ref empty_stats in
-  Seq.iter
-    (fun page -> stats := record !stats (instance.Policy.access page))
-    seq;
-  !stats
+let run instance trace =
+  Array.fold_left
+    (fun stats page -> record stats (instance.Policy.access page))
+    empty_stats trace
 
 let miss_rate stats =
   if stats.accesses = 0 then 0.0
   else float_of_int stats.misses /. float_of_int stats.accesses
-
-let pp_stats ppf stats =
-  Format.fprintf ppf "accesses=%a hits=%a misses=%a evictions=%a miss-rate=%.4f"
-    Atp_util.Stats.pp_count stats.accesses
-    Atp_util.Stats.pp_count stats.hits
-    Atp_util.Stats.pp_count stats.misses
-    Atp_util.Stats.pp_count stats.evictions
-    (miss_rate stats)

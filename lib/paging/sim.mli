@@ -9,20 +9,8 @@ type stats = {
   evictions : int;
 }
 
-val empty_stats : stats
-
-val record : stats -> Policy.outcome -> stats
-
-val run :
-  ?on_event:(int -> Policy.outcome -> unit) ->
-  Policy.instance -> int array -> stats
-(** Service every request in the trace.  [on_event i outcome] fires
-    after each request, for callers that correlate with other state. *)
-
-val run_seq : Policy.instance -> int Seq.t -> stats
-(** Streaming variant for traces too large to materialize. *)
+val run : Policy.instance -> int array -> stats
+(** Service every request in the trace. *)
 
 val miss_rate : stats -> float
 (** Misses per access; 0 for an empty trace. *)
-
-val pp_stats : Format.formatter -> stats -> unit

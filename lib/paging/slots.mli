@@ -19,11 +19,6 @@ val find_slot : t -> int -> int
 (** The slot holding the page, or [-1] when absent: one allocation-free
     probe. *)
 
-val page_of_slot : t -> int -> int
-(** Raises [Invalid_argument] if the slot is free.
-
-    @raise Invalid_argument on a free slot. *)
-
 val alloc : t -> int -> int
 (** [alloc t page] places [page] in a free slot and returns it.  Raises
     [Invalid_argument] if full or if the page is already resident.

@@ -12,8 +12,6 @@ let create ?(asid_bits = 12) ~entries () =
 
 let max_asid t = (1 lsl t.asid_bits) - 1
 
-let entries t = Tlb.entries t.tlb
-
 let key t ~asid vpage =
   if asid < 0 || asid > max_asid t then invalid_arg "Asid: asid out of range";
   if vpage < 0 || vpage >= 1 lsl t.vpage_bits then
@@ -45,8 +43,6 @@ let flush_asid t asid =
 let flush_all t = Tlb.flush t.tlb
 
 let stats t = Tlb.stats t.tlb
-
-let reset_stats t = Tlb.reset_stats t.tlb
 
 module Allocator = struct
   (* Linux-style lazy ASID recycling: a freed id is handed out again

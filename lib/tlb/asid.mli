@@ -20,8 +20,6 @@ val create : ?asid_bits:int -> entries:int -> unit -> 'a t
 
 val max_asid : 'a t -> int
 
-val entries : 'a t -> int
-
 val lookup : 'a t -> asid:int -> int -> 'a option
 
 val insert : 'a t -> asid:int -> int -> 'a -> (int * int * 'a) option
@@ -40,8 +38,6 @@ val flush_all : 'a t -> unit
 (** What a switch costs without ASIDs. *)
 
 val stats : 'a t -> Tlb.stats
-
-val reset_stats : 'a t -> unit
 
 val per_asid_share : 'a t -> (int * int) list
 (** Current entry count per address space: the effective-TLB-share

@@ -34,8 +34,6 @@ let create ?(max_run = 8) ~entries () =
   | Some shift ->
     { max_run; shift; entries = Tlb.create ~entries (); stats = zero }
 
-let max_run t = t.max_run
-
 let lookup t vpage =
   let block = vpage lsr t.shift in
   let off = vpage land (t.max_run - 1) in
@@ -79,5 +77,3 @@ let fill t ~lookup_pt ~vpage ~frame =
 let invalidate_page t vpage = Tlb.invalidate t.entries (vpage lsr t.shift)
 
 let stats t = t.stats
-
-let reset_stats t = t.stats <- zero

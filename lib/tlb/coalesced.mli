@@ -30,8 +30,6 @@ val create : ?max_run:int -> entries:int -> unit -> t
 
     @raise Invalid_argument unless [max_run] is a power of two. *)
 
-val max_run : t -> int
-
 val lookup : t -> int -> int option
 (** Translate a virtual page to a frame if a cached run covers it. *)
 
@@ -46,5 +44,3 @@ val invalidate_page : t -> int -> bool
 (** Shoot down the run covering the page, if any. *)
 
 val stats : t -> stats
-
-val reset_stats : t -> unit

@@ -36,5 +36,3 @@ let invalidate_page t vpage =
   List.iter
     (fun (level, tlb) -> ignore (Tlb.invalidate tlb (vpage lsr level.shift)))
     t.levels
-
-let stats t = List.map (fun (level, tlb) -> (level.shift, Tlb.stats tlb)) t.levels

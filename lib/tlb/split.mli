@@ -34,6 +34,3 @@ val insert : 'a t -> shift:int -> int -> 'a -> (int * 'a) option
 
 val invalidate_page : 'a t -> int -> unit
 (** Shoot down any entry, at any level, covering the base page. *)
-
-val stats : 'a t -> (int * Tlb.stats) list
-(** Per-level, keyed by shift. *)

@@ -21,14 +21,11 @@ type 'a t = {
   c_evictions : Obs.Counter.t;
 }
 
-let create ?policy ?rng ?obs ~entries () =
+let create ?obs ~entries () =
   if entries < 1 then invalid_arg "Tlb.create: need at least one entry";
-  let policy_module =
-    match policy with Some p -> p | None -> (module Lru : Policy.S)
-  in
   let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
   {
-    policy = Policy.instantiate policy_module ?rng ~capacity:entries ();
+    policy = Policy.instantiate (module Lru) ~capacity:entries ();
     payloads = Int_table.Poly.create ~initial_capacity:(2 * entries) ();
     tr = Obs.Scope.tracer obs;
     c_lookups = Obs.Scope.counter obs "lookups";
@@ -37,8 +34,6 @@ let create ?policy ?rng ?obs ~entries () =
     c_insertions = Obs.Scope.counter obs "insertions";
     c_evictions = Obs.Scope.counter obs "evictions";
   }
-
-let entries t = t.policy.Policy.capacity
 
 let size t = t.policy.Policy.size ()
 
@@ -139,9 +134,3 @@ let reset_stats t =
   Obs.Counter.reset t.c_evictions
 
 let iter f t = Int_table.Poly.iter f t.payloads
-
-let pp_stats ppf s =
-  Format.fprintf ppf "lookups=%a hits=%a misses=%a insertions=%a evictions=%a"
-    Atp_util.Stats.pp_count s.lookups Atp_util.Stats.pp_count s.hits
-    Atp_util.Stats.pp_count s.misses Atp_util.Stats.pp_count s.insertions
-    Atp_util.Stats.pp_count s.evictions

@@ -1,6 +1,5 @@
-(** A fully associative TLB: a capacity-bounded cache from virtual
-    (huge-)page numbers to payloads, with a pluggable replacement
-    policy.
+(** A fully associative LRU TLB: a capacity-bounded cache from
+    virtual (huge-)page numbers to payloads.
 
     The payload type is abstract because the two users differ: the
     Section 6 simulator stores physical huge-page base frames, while
@@ -19,22 +18,14 @@ type stats = {
   evictions : int;
 }
 
-val create :
-  ?policy:(module Atp_paging.Policy.S) ->
-  ?rng:Atp_util.Prng.t ->
-  ?obs:Atp_obs.Scope.t ->
-  entries:int ->
-  unit ->
-  'a t
-(** [policy] defaults to LRU — the configuration of every experiment in
-    the paper.  [obs] registers [lookups]/[hits]/[misses]/[insertions]/
+val create : ?obs:Atp_obs.Scope.t -> entries:int -> unit -> 'a t
+(** Replacement is LRU, the configuration of every experiment in the
+    paper.  [obs] registers [lookups]/[hits]/[misses]/[insertions]/
     [evictions] counters under the scope's prefix and emits
     [tlb_hit]/[tlb_miss]/[eviction] trace events; when omitted the TLB
     observes into a private throwaway registry.
 
     @raise Invalid_argument if [entries < 1]. *)
-
-val entries : 'a t -> int
 
 val size : 'a t -> int
 
@@ -78,5 +69,3 @@ val reset_stats : 'a t -> unit
     aggregate — and reset — the same counters. *)
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -79,7 +79,3 @@ let fill t v =
     let keep = (1 lsl (t.length land 7)) - 1 in
     Bytes.set t.words last (Char.chr (Char.code (Bytes.get t.words last) land keep))
   end
-
-let copy t = { words = Bytes.copy t.words; length = t.length }
-
-let equal a b = a.length = b.length && Bytes.equal a.words b.words

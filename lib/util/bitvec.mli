@@ -35,7 +35,3 @@ val first_clear_index : t -> int
 
 val fill : t -> bool -> unit
 (** Set every bit to the given value. *)
-
-val copy : t -> t
-
-val equal : t -> t -> bool

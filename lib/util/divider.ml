@@ -28,8 +28,6 @@ let make d =
   let limit = if q_max < 0 then 0 else q_max * d in
   { d; m; shift; limit }
 
-let divisor t = t.d
-
 let[@inline] [@atplint.hot] div t v =
   if v >= 0 && v <= t.limit then (v * t.m) lsr t.shift else v / t.d
 

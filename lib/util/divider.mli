@@ -9,8 +9,6 @@ type t
 val make : int -> t
 (** @raise Invalid_argument when the divisor is not positive. *)
 
-val divisor : t -> int
-
 val div : t -> int -> int
 
 val rem : t -> int -> int

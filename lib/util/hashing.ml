@@ -1,12 +1,5 @@
-(* The mixer is duplicated from Prng rather than exported there to keep
-   Prng's interface about streams only. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-(* Native-int variant of the same avalanche structure, with the
-   multiplicative constants truncated to fit the 63-bit int.  Boxed
+(* The SplitMix64 finalizer's avalanche structure on native ints, with
+   the multiplicative constants truncated to fit the 63-bit int.  Boxed
    Int64 arithmetic heap-allocates every intermediate without flambda,
    and [hash] sits on the replay hot path (one decode per access, k
    placement probes per miss), so the mixer must stay in registers. *)

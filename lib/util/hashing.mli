@@ -8,9 +8,6 @@
     oblivious to the seeds, matching the paper's obliviousness
     assumption. *)
 
-val mix64 : int64 -> int64
-(** The SplitMix64 finalizer: a bijective avalanche mixer. *)
-
 val hash : seed:int -> int -> int
 (** [hash ~seed x] is a non-negative 62-bit hash of [x] salted by
     [seed]. *)

@@ -9,12 +9,8 @@ val create : cmp:('a -> 'a -> int) -> unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
-
-val clear : 'a t -> unit

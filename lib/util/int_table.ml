@@ -178,10 +178,6 @@ let fold f t init =
   iter (fun k v -> acc := f k v !acc) t;
   !acc
 
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  t.size <- 0
-
 let keys t = fold (fun k _ acc -> k :: acc) t []
 
 (* Same table, boxed values.  The values array stays empty until the

@@ -43,8 +43,6 @@ val iter : (int -> int -> unit) -> t -> unit
 
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
-val clear : t -> unit
-
 val keys : t -> int list
 (** Unordered. *)
 

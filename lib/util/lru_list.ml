@@ -18,8 +18,6 @@ let create capacity =
   prev.(capacity) <- capacity;
   { next; prev; sentinel = capacity; length = 0 }
 
-let capacity t = t.sentinel
-
 let check t i =
   if i < 0 || i >= t.sentinel then invalid_arg "Lru_list: node id out of range"
 
@@ -28,8 +26,6 @@ let mem t i =
   t.next.(i) <> detached
 
 let length t = t.length
-
-let is_empty t = t.length = 0
 
 let link_after t ~anchor i =
   let nxt = t.next.(anchor) in

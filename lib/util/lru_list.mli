@@ -13,14 +13,7 @@ val create : int -> t
 
     @raise Invalid_argument if the capacity is negative. *)
 
-val capacity : t -> int
-
-val mem : t -> int -> bool
-(** Is the node currently linked? *)
-
 val length : t -> int
-
-val is_empty : t -> bool
 
 val push_front : t -> int -> unit
 (** Raises [Invalid_argument] if already linked.
@@ -54,8 +47,6 @@ val pop_back : t -> int option
 val take_back : t -> int
 (** [pop_back] without the option: the unlinked back node id, or [-1]
     when the list is empty — the allocation-free eviction primitive. *)
-
-val iter_front_to_back : (int -> unit) -> t -> unit
 
 val to_list : t -> int list
 (** Front-to-back order. *)

@@ -7,10 +7,6 @@ let create ~width ~length =
   if length < 0 then invalid_arg "Packed_array.create: negative length";
   { data = Bytes.make (bytes_for ~width ~length) '\000'; width; length }
 
-let width t = t.width
-
-let length t = t.length
-
 let max_value t = (1 lsl t.width) - 1
 
 let total_bits t = t.width * t.length
@@ -51,8 +47,6 @@ let set t i v =
     Bytes.unsafe_set t.data (first + j) (Char.unsafe_chr (!acc land 0xFF));
     acc := !acc lsr 8
   done
-
-let copy t = { t with data = Bytes.copy t.data }
 
 let blit_to_bytes t = Bytes.copy t.data
 

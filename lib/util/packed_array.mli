@@ -14,10 +14,6 @@ val create : width:int -> length:int -> t
     @raise Invalid_argument if the length is negative or [width] is
     outside 1..48. *)
 
-val width : t -> int
-
-val length : t -> int
-
 val max_value : t -> int
 (** Largest representable element, [2^width - 1]. *)
 
@@ -31,8 +27,6 @@ val set : t -> int -> int -> unit
 
 val total_bits : t -> int
 (** [width * length]: the size of the value this array packs into. *)
-
-val copy : t -> t
 
 val blit_to_bytes : t -> Bytes.t
 (** The raw packed representation, for round-trip tests and for

@@ -121,8 +121,6 @@ let move_to_front t page =
     chain_front t slot
   end
 
-let front t = if t.first = nil then None else Some t.pages.(t.first)
-
 let back t = if t.last = nil then None else Some t.pages.(t.last)
 
 let take_front t =

@@ -36,17 +36,11 @@ val move_to_front : t -> int -> unit
 
     @raise Invalid_argument if the page is absent. *)
 
-val front : t -> int option
-
 val back : t -> int option
 
 val pop_front : t -> int option
 
 val pop_back : t -> int option
-
-val take_front : t -> int
-(** [pop_front] without the option: the removed page, or [-1] when
-    empty — the allocation-free form for hot paths. *)
 
 val take_back : t -> int
 (** [pop_back] without the option: the removed page, or [-1] when

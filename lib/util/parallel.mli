@@ -5,24 +5,19 @@
     state and reads only immutable inputs, so they parallelize
     trivially.  Results keep their input order.
 
-    Two failure semantics are offered.  {!map}/{!map_array} abort on
-    the first exception and re-raise it in the caller {e with the
-    original backtrace preserved}: the trace is captured with
+    Two failure semantics are offered.  {!map} aborts on the first
+    exception and re-raises it in the caller {e with the original
+    backtrace preserved}: the trace is captured with
     [Printexc.get_raw_backtrace] in the failing domain at the catch
     site and re-raised via [Printexc.raise_with_backtrace], so the
     reported frames point at the task, not at the join.
-    {!map_results}/{!map_results_array} never abort: every task runs
-    to completion and each returns its own
-    [Ok result | Error (exn, backtrace)] — the primitive the
-    experiment runner ({!module:Atp_exp}) builds per-task outcome rows
-    on.
+    {!map_results} never aborts: every task runs to completion and
+    each returns its own [Ok result | Error (exn, backtrace)] — the
+    primitive the experiment runner ({!module:Atp_exp}) builds
+    per-task outcome rows on.
 
     On OCaml < 5 (no [Domain]) a sequential implementation with the
     same interface is selected at build time. *)
-
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()], at least 1; always 1 on the
-    sequential fallback. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f xs] evaluates [f] on every element using up to
@@ -33,9 +28,6 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     remaining unstarted tasks are skipped.
     @raise Invalid_argument if [domains] is given and less than 1. *)
 
-val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** @raise Invalid_argument if [domains] is given and less than 1. *)
-
 val map_results :
   ?domains:int ->
   ('a -> 'b) ->
@@ -45,10 +37,3 @@ val map_results :
     element maps to [Ok result] or [Error (exn, backtrace)], with the
     backtrace captured in the raising domain.  All tasks run.
     @raise Invalid_argument if [domains] is given and less than 1. *)
-
-val map_results_array :
-  ?domains:int ->
-  ('a -> 'b) ->
-  'a array ->
-  ('b, exn * Printexc.raw_backtrace) result array
-(** @raise Invalid_argument if [domains] is given and less than 1. *)

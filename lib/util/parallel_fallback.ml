@@ -2,8 +2,6 @@
    exist.  Selected by a dune rule on the compiler version; same
    interface, same validation, results in the same order. *)
 
-let recommended_domains () = 1
-
 let check_domains = function
   | Some d when d < 1 -> invalid_arg "Parallel.map: need at least one domain"
   | _ -> ()

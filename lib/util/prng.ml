@@ -77,8 +77,6 @@ let float t =
   let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
   float_of_int v *. 0x1.0p-53
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

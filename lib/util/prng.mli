@@ -43,8 +43,5 @@ val int_in_range : t -> lo:int -> hi:int -> int
 val float : t -> float
 (** Uniform on [0, 1), with 53 bits of precision. *)
 
-val bool : t -> bool
-(** A fair coin. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -19,8 +19,6 @@ module Summary : sig
   val variance : t -> float
   (** Unbiased sample variance; 0 with fewer than two observations. *)
 
-  val stddev : t -> float
-
   val min : t -> float
   (** @raise Invalid_argument when the summary is empty: the fresh
       [infinity] fill sentinel is not an observation and must not leak

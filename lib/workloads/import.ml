@@ -11,12 +11,6 @@ let pp_format ppf f =
   Format.pp_print_string ppf
     (match f with Hex -> "hex" | Lackey -> "lackey" | Csv -> "csv")
 
-let format_of_string = function
-  | "hex" -> Some Hex
-  | "lackey" -> Some Lackey
-  | "csv" -> Some Csv
-  | _ -> None
-
 type radix = Decimal | Hexadecimal
 
 type csv = { column : int; radix : radix; skip_header : bool }

@@ -28,9 +28,6 @@ type format = Hex | Lackey | Csv
 
 val pp_format : Format.formatter -> format -> unit
 
-val format_of_string : string -> format option
-(** ["hex"], ["lackey"], ["csv"]. *)
-
 type radix = Decimal | Hexadecimal
 
 type csv = {
@@ -38,9 +35,6 @@ type csv = {
   radix : radix;  (** how to read that column *)
   skip_header : bool;  (** drop the first line of the file *)
 }
-
-val default_csv : csv
-(** Column 1, hexadecimal, no header. *)
 
 type config = {
   page_bits : int;
@@ -54,8 +48,8 @@ type config = {
 }
 
 val default : config
-(** [page_bits = 12], no limit, no dedup, instruction fetches kept,
-    {!default_csv}. *)
+(** [page_bits = 12], no limit, no dedup, instruction fetches kept;
+    CSV addresses in hexadecimal in column 1, no header. *)
 
 type stats = {
   lines : int;  (** input lines read *)

@@ -405,27 +405,6 @@ module Stream = struct
         in
         go ())
 
-  let source path =
-    let r = open_reader path in
-    let cur = ref None and idx = ref 0 in
-    let rec next () =
-      match !cur with
-      | Some c when !idx < Bigarray.Array1.dim c ->
-        let v = Bigarray.Array1.unsafe_get c !idx in
-        incr idx;
-        Some v
-      | _ -> (
-        match next_chunk r with
-        | None ->
-          close_reader r;
-          None
-        | Some c ->
-          cur := Some c;
-          idx := 0;
-          next ())
-    in
-    next
-
   let to_array_of_reader r =
     let buf = Growbuf.create () in
     let rec go () =
@@ -625,13 +604,12 @@ let pp_summary ppf s =
   Format.fprintf ppf "length=%a footprint=%a pages=[%d, %d]"
     Stats.pp_count s.length Stats.pp_count s.footprint s.min_page s.max_page
 
-let replay ?(loop = true) trace =
+let replay trace =
   if Array.length trace = 0 then invalid_arg "Trace.replay: empty trace";
   let s = summarize trace in
   let pos = ref 0 in
   let next () =
-    if !pos >= Array.length trace then
-      if loop then pos := 0 else raise End_of_file;
+    if !pos >= Array.length trace then pos := 0;
     let page = trace.(!pos) in
     incr pos;
     page
@@ -640,10 +618,9 @@ let replay ?(loop = true) trace =
     Workload.name = "replay";
     virtual_pages = s.max_page + 1;
     description =
-      Printf.sprintf "recorded trace of %d references over %d pages%s"
-        s.length s.footprint
-        (if loop then ", looping" else "");
+      Printf.sprintf "recorded trace of %d references over %d pages, looping"
+        s.length s.footprint;
     next;
   }
 
-let workload_of_file ?loop path = replay ?loop (load path)
+let workload_of_file path = replay (load path)

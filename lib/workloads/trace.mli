@@ -48,10 +48,6 @@ val load_binary : string -> int array
     reused Bigarray, so memory is bounded by the chunk size whatever
     the trace length.  Values must fit 62 signed bits. *)
 module Stream : sig
-  val magic : string
-  (** ["ATPS"]. *)
-
-  val version : int
 
   val default_chunk_size : int
   (** 65536 references per chunk. *)
@@ -65,22 +61,15 @@ module Stream : sig
 
   type writer
 
-  val open_writer : ?chunk_size:int -> string -> writer
-  (** Create or truncate a streamed trace at the path.  The header's
-      reference count is patched on {!close_writer}, so the target
-      must be a seekable regular file.
-      @raise Invalid_argument if [chunk_size < 1]. *)
-
   val push : writer -> int -> unit
   (** Append one reference; flushes a frame every [chunk_size] pushes.
       @raise Invalid_argument if the writer is closed. *)
 
-  val close_writer : writer -> unit
-  (** Flush the final partial chunk, patch the header count, close the
-      file.  Idempotent. *)
-
   val with_writer : ?chunk_size:int -> string -> (writer -> 'a) -> 'a
-  (** Bracket: closes (and so finalizes the header) on any exit.
+  (** Create or truncate a streamed trace at the path and run the
+      callback on its writer.  The writer closes on any exit: it
+      flushes the final partial chunk and patches the header's
+      reference count, so the target must be a seekable regular file.
       @raise Invalid_argument if [chunk_size < 1]. *)
 
   type reader
@@ -124,12 +113,6 @@ module Stream : sig
       time.
       @raise Parse_error on a corrupt file. *)
 
-  val source : string -> unit -> int option
-  (** A pull stream of the file's references ([None] = end), the shape
-      the sharded engine consumes.  The underlying file closes when
-      the stream is exhausted.
-      @raise Parse_error (from the pull calls) on a corrupt file. *)
-
   val to_array : string -> int array
   (** Materialize a whole streamed trace (for small traces and tests).
       @raise Parse_error on a corrupt file or a count mismatch. *)
@@ -170,15 +153,13 @@ val pack : ?chunk_size:int -> src:string -> dst:string -> unit -> unit
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val replay : ?loop:bool -> int array -> Workload.t
-(** Turn a recorded trace into a workload.  With [loop] (default
-    true) the trace wraps around; otherwise exhausting it raises
-    [End_of_file] — useful when the consumer must not silently
-    recycle.
+val replay : int array -> Workload.t
+(** Turn a recorded trace into a workload that wraps around at the
+    end.
 
     @raise Invalid_argument if the trace is empty. *)
 
-val workload_of_file : ?loop:bool -> string -> Workload.t
+val workload_of_file : string -> Workload.t
 (** {!replay} over {!load}: any format, one open.
     @raise Parse_error on a malformed file.
     @raise Invalid_argument if the file holds no references. *)

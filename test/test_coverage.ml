@@ -54,20 +54,6 @@ let test_log_histogram_pp_and_bounds () =
     (Invalid_argument "Log_histogram.add: negative value") (fun () ->
       Stats.Log_histogram.add h (-1))
 
-let test_sim_on_event_callback () =
-  let trace = [| 1; 2; 1 |] in
-  let events = ref [] in
-  let inst = Policy.instantiate (module Lru) ~capacity:2 () in
-  let _ =
-    Sim.run
-      ~on_event:(fun i outcome -> events := (i, Policy.is_hit outcome) :: !events)
-      inst trace
-  in
-  check
-    Alcotest.(list (pair int bool))
-    "per-access events" [ (0, false); (1, false); (2, true) ]
-    (List.rev !events)
-
 let test_policy_helpers () =
   check Alcotest.bool "hit" true (Policy.is_hit Policy.Hit);
   check Alcotest.bool "miss" false (Policy.is_hit (Policy.Miss { evicted = None }));
@@ -146,7 +132,6 @@ let () =
         ] );
       ( "paging",
         [
-          Alcotest.test_case "sim on_event" `Quick test_sim_on_event_callback;
           Alcotest.test_case "policy helpers" `Quick test_policy_helpers;
           Alcotest.test_case "opt instance remove" `Quick test_opt_instance_remove;
           Alcotest.test_case "slots errors" `Quick test_slots_errors;

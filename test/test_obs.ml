@@ -151,7 +151,7 @@ let test_trace_rejects_bad_capacity () =
 (* --- Histogram and Stats edge cases --------------------------------- *)
 
 let test_histogram_empty () =
-  let h = Obs.Histogram.create "h" in
+  let h = Obs.Histogram.create () in
   check Alcotest.int "count" 0 (Obs.Histogram.count h);
   check (Alcotest.float 0.0) "mean" 0.0 (Obs.Histogram.mean h);
   check Alcotest.int "percentile of empty" 0 (Obs.Histogram.percentile h 0.99);
@@ -160,7 +160,7 @@ let test_histogram_empty () =
     (Obs.Json.to_string (Obs.Histogram.to_json h))
 
 let test_histogram_single_sample () =
-  let h = Obs.Histogram.create "h" in
+  let h = Obs.Histogram.create () in
   Obs.Histogram.observe h 5;
   check Alcotest.int "count" 1 (Obs.Histogram.count h);
   check (Alcotest.float 1e-9) "mean" 5.0 (Obs.Histogram.mean h);
@@ -170,7 +170,7 @@ let test_histogram_single_sample () =
     (Stats.Summary.variance (Obs.Histogram.summary h))
 
 let test_histogram_rejects_negative () =
-  let h = Obs.Histogram.create "h" in
+  let h = Obs.Histogram.create () in
   Alcotest.check_raises "negative"
     (Invalid_argument "Log_histogram.add: negative value") (fun () ->
       Obs.Histogram.observe h (-1))

@@ -279,16 +279,6 @@ let test_sim_counts () =
   check Alcotest.int "evictions" 2 stats.Sim.evictions;
   check (Alcotest.float 1e-9) "miss rate" (4.0 /. 6.0) (Sim.miss_rate stats)
 
-let test_sim_seq_matches_array () =
-  let trace = Array.init 500 (fun i -> i * 7 mod 23) in
-  let a = Sim.run (Policy.instantiate (module Lru) ~capacity:5 ()) trace in
-  let b =
-    Sim.run_seq
-      (Policy.instantiate (module Lru) ~capacity:5 ())
-      (Array.to_seq trace)
-  in
-  check Alcotest.int "same misses" a.Sim.misses b.Sim.misses
-
 let test_registry () =
   check Alcotest.bool "finds lru" true (Registry.find "lru" <> None);
   check Alcotest.bool "rejects unknown" true (Registry.find "belady" = None);
@@ -378,7 +368,6 @@ let () =
         ( "sim",
           [
             Alcotest.test_case "counts" `Quick test_sim_counts;
-            Alcotest.test_case "seq matches array" `Quick test_sim_seq_matches_array;
             Alcotest.test_case "registry" `Quick test_registry;
           ] );
         ("access_fast", qsuite [ prop_access_fast_equals_access ]);

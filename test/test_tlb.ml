@@ -1,5 +1,4 @@
 open Atp_tlb
-open Atp_paging
 
 let check = Alcotest.check
 
@@ -72,65 +71,6 @@ let test_tlb_peek_does_not_touch () =
   match Tlb.insert t 3 30 with
   | Some (victim, _) -> check Alcotest.int "peek is silent" 1 victim
   | None -> Alcotest.fail "expected eviction"
-
-let test_tlb_fifo_policy () =
-  let t = Tlb.create ~policy:(module Fifo) ~entries:2 () in
-  ignore (Tlb.insert t 1 10);
-  ignore (Tlb.insert t 2 20);
-  ignore (Tlb.lookup t 1);
-  (* FIFO ignores the hit: 1 is still first in, first out. *)
-  match Tlb.insert t 3 30 with
-  | Some (victim, _) -> check Alcotest.int "fifo victim" 1 victim
-  | None -> Alcotest.fail "expected eviction"
-
-(* --- Set-associative TLB -------------------------------------------- *)
-
-let test_set_assoc_geometry () =
-  let t = Set_assoc.create ~sets:4 ~ways:2 () in
-  check Alcotest.int "capacity" 8 (Set_assoc.capacity t);
-  check Alcotest.int "sets" 4 (Set_assoc.sets t);
-  check Alcotest.int "ways" 2 (Set_assoc.ways t)
-
-let test_set_assoc_basic () =
-  let t = Set_assoc.create ~sets:2 ~ways:2 () in
-  check Alcotest.(option int) "cold" None (Set_assoc.lookup t 1);
-  ignore (Set_assoc.insert t 1 10);
-  check Alcotest.(option int) "hit" (Some 10) (Set_assoc.lookup t 1);
-  check Alcotest.bool "invalidate" true (Set_assoc.invalidate t 1);
-  check Alcotest.(option int) "gone" None (Set_assoc.lookup t 1)
-
-let test_set_assoc_conflict_eviction () =
-  (* Keys hashing to the same set conflict once past the way count,
-     even though the TLB is mostly empty — the set-associativity
-     penalty the fully associative model hides. *)
-  let t = Set_assoc.create ~sets:8 ~ways:1 () in
-  (* Find two keys in the same set. *)
-  let key2 = ref (-1) in
-  ignore (Set_assoc.insert t 0 0);
-  (try
-     for k = 1 to 1000 do
-       ignore (Set_assoc.insert t k k);
-       if Set_assoc.lookup t 0 = None then begin
-         key2 := k;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  check Alcotest.bool "conflict found" true (!key2 > 0)
-
-let test_set_assoc_lru_within_set () =
-  let t = Set_assoc.create ~sets:1 ~ways:2 () in
-  ignore (Set_assoc.insert t 1 10);
-  ignore (Set_assoc.insert t 2 20);
-  ignore (Set_assoc.lookup t 1);
-  match Set_assoc.insert t 3 30 with
-  | Some (victim, _) -> check Alcotest.int "lru within set" 2 victim
-  | None -> Alcotest.fail "expected eviction"
-
-let test_set_assoc_size () =
-  let t = Set_assoc.create ~sets:4 ~ways:2 () in
-  for k = 0 to 19 do ignore (Set_assoc.insert t k k) done;
-  check Alcotest.bool "size bounded" true (Set_assoc.size t <= 8)
 
 (* --- Split TLB ------------------------------------------------------ *)
 
@@ -207,15 +147,6 @@ let () =
           Alcotest.test_case "update silent" `Quick test_tlb_update_silent;
           Alcotest.test_case "invalidate/flush" `Quick test_tlb_invalidate_and_flush;
           Alcotest.test_case "peek silent" `Quick test_tlb_peek_does_not_touch;
-          Alcotest.test_case "fifo policy" `Quick test_tlb_fifo_policy;
-        ] );
-      ( "set_assoc",
-        [
-          Alcotest.test_case "geometry" `Quick test_set_assoc_geometry;
-          Alcotest.test_case "basic" `Quick test_set_assoc_basic;
-          Alcotest.test_case "conflict" `Quick test_set_assoc_conflict_eviction;
-          Alcotest.test_case "lru within set" `Quick test_set_assoc_lru_within_set;
-          Alcotest.test_case "size bounded" `Quick test_set_assoc_size;
         ] );
       ( "split",
         [

@@ -11,9 +11,11 @@
    load paths recorded in the .cmt files resolve.
 
    Two analysis phases: the intra-procedural rules run per file, then
-   every scanned unit is linked into one call graph (Callgraph) and
-   the whole-program rules — domain-safety and
-   hot-path-alloc-transitive — judge the linked program.
+   the whole-program rules judge the linked program: domain-safety and
+   hot-path-alloc-transitive over one call graph (Callgraph) of the
+   units some whole-program rule covers, and unused-export (Exports)
+   over the references of every scanned unit, so PATHs outside every
+   rule's scope (tests, tools) still count as callers.
 
    Exit codes: 0 clean (or warnings only), 1 at least one error-level
    diagnostic, 2 operational failure (unreadable file, bad config or
@@ -122,21 +124,9 @@ let contains_raise doc =
 (* Parse the interface source and return the exported values that have
    no @raise in their attached doc comment. *)
 let undocumented_exports mli_path =
-  let ic = open_in_bin mli_path in
-  let source =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf mli_path;
-  match Parse.interface lexbuf with
-  | exception _ ->
-    prerr_endline
-      ("atplint: warning: could not parse " ^ mli_path
-     ^ "; skipping exception-contract for it");
-    []
-  | signature ->
+  match Exports.parse_interface ~fname:mli_path mli_path with
+  | None -> []
+  | Some signature ->
     List.filter_map
       (fun (item : Parsetree.signature_item) ->
         match item.psig_desc with
@@ -152,17 +142,18 @@ let undocumented_exports mli_path =
 (* Is rule [r] enabled for [file] under --only and scope filtering?
    Whole-program rules use the same predicate at finalization time,
    keyed by each diagnostic's own file. *)
+let want_rule name = !only = [] || List.mem name !only
+
 let rule_enabled (r : Rules.rule) ~file =
-  (!only = [] || List.mem r.name !only)
+  want_rule r.name
   && (!no_scope || List.exists (fun p -> starts_with ~prefix:p file) r.scopes)
 
 let want_whole_program () =
   List.exists
-    (fun (r : Rules.rule) ->
-      r.whole_program && (!only = [] || List.mem r.name !only))
+    (fun (r : Rules.rule) -> r.whole_program && want_rule r.name)
     Rules.all_rules
 
-let process ~cfg ~diags ~graph cmt_path =
+let process ~cfg ~diags ~graph ~exports cmt_path =
   let cmt =
     try Cmt_format.read_cmt cmt_path
     with exn ->
@@ -183,18 +174,25 @@ let process ~cfg ~diags ~graph cmt_path =
       | None -> false
     in
     let run_intra = List.exists enabled Rules.all_rules in
-    let run_wp = want_whole_program () in
-    if run_intra || run_wp then begin
+    (* Only units a whole-program rule covers join the call graph:
+       calls flow from the rest into them, never back. *)
+    let run_graph =
+      List.exists
+        (fun (r : Rules.rule) -> r.whole_program && rule_enabled r ~file)
+        Rules.all_rules
+    in
+    let run_exports = want_rule "unused-export" in
+    if run_intra || run_graph || run_exports then begin
       (* Rebuild enough typing environment for type-driven rules: the
          load path recorded at compile time plus the cmt's own
          directory. *)
       Load_path.init ~auto_include:Load_path.no_auto_include
         (cmt.cmt_loadpath @ [ Filename.dirname cmt_path ]);
       Envaux.reset_cache ();
+      let mli_rel = Filename.remove_extension file ^ ".mli" in
+      let mli_fs = Filename.concat !root mli_rel in
+      let mli_exists = Sys.file_exists mli_fs in
       if run_intra then begin
-        let mli_rel = Filename.remove_extension file ^ ".mli" in
-        let mli_fs = Filename.concat !root mli_rel in
-        let mli_exists = Sys.file_exists mli_fs in
         let exported_undoc = Hashtbl.create 16 in
         if mli_exists && active "exception-contract" then
           List.iter
@@ -208,8 +206,12 @@ let process ~cfg ~diags ~graph cmt_path =
         in
         diags := file_diags @ !diags
       end;
-      if run_wp then
-        Callgraph.collect graph ~file ~modname:cmt.cmt_modname str
+      if run_graph then
+        Callgraph.collect graph ~file ~modname:cmt.cmt_modname str;
+      if run_exports then
+        Exports.collect exports ~modname:cmt.cmt_modname
+          ~mli:(if mli_exists then Some (mli_fs, mli_rel) else None)
+          str
     end
   | _ -> ()
 
@@ -251,8 +253,8 @@ let () =
     |> List.sort String.compare
   in
   let diags = ref [] in
-  let graph = Callgraph.create () in
-  List.iter (process ~cfg ~diags ~graph) cmts;
+  let graph = Callgraph.create () and exports = Exports.create () in
+  List.iter (process ~cfg ~diags ~graph ~exports) cmts;
   (if want_whole_program () then
      let enabled ~rule ~file =
        match
@@ -261,7 +263,8 @@ let () =
        | Some r -> rule_enabled r ~file
        | None -> false
      in
-     diags := Callgraph.finalize graph ~enabled ~cfg @ !diags);
+     diags := Callgraph.finalize graph ~enabled ~cfg @ !diags;
+     Exports.check exports ~emit:(Callgraph.emitter ~enabled ~cfg diags));
   let compare_full a b =
     let c = Diagnostic.compare a b in
     if c <> 0 then c else String.compare a.Diagnostic.message b.Diagnostic.message

@@ -3,11 +3,10 @@
    the two cross-module rules on top:
 
      - domain-safety: a closure shipped to Util.Parallel.map /
-       map_results / map_results_array / Domain.spawn (directly, or
-       transitively through a function that forwards its functional
-       argument there) must not capture — or call into code that
-       touches — mutable state shared with the enclosing scope or with
-       other shards' closures.
+       map_results / Domain.spawn (directly, or transitively through a
+       function that forwards its functional argument there) must not
+       capture — or call into code that touches — mutable state shared
+       with the enclosing scope or with other shards' closures.
      - hot-path-alloc-transitive: a hot-tagged function calling a
        non-hot function that allocates per call is flagged at the call
        site, however deep the allocation sits in the call chain.
@@ -114,9 +113,7 @@ module Name = struct
   let parallel_entry_points =
     [
       "Parallel.map";
-      "Parallel.map_array";
       "Parallel.map_results";
-      "Parallel.map_results_array";
       "Domain.spawn";
     ]
 
@@ -964,23 +961,24 @@ let check_hot_alloc_transitive t ~emit =
           (List.rev n.n_calls))
     t.nodes
 
-(* Run both whole-program rules.  [enabled] folds in --only and scope
-   filtering for the diagnostic's file; suppression layers checked
-   here are the site-collected attribute allows and the config
-   allowlist (the baseline is applied by the driver). *)
+(* The emitter every whole-program rule reports through.  [enabled]
+   folds in --only and scope filtering for the diagnostic's file;
+   suppression layers checked here are the site-collected attribute
+   allows and the config allowlist (the baseline is applied by the
+   driver). *)
+let emitter ~enabled ~cfg diags ~rule ~file ~loc ~allows message =
+  if
+    enabled ~rule ~file
+    && (not (List.mem rule allows))
+    && not (Lint_config.allows cfg ~rule ~file)
+  then
+    let severity = Lint_config.severity cfg ~rule ~default:Diagnostic.Error in
+    diags := Diagnostic.of_location ~rule ~severity ~message loc :: !diags
+
+(* Run both call-graph rules. *)
 let finalize t ~enabled ~cfg =
   let diags = ref [] in
-  let emit ~rule ~file ~loc ~allows message =
-    if
-      enabled ~rule ~file
-      && (not (List.mem rule allows))
-      && not (Lint_config.allows cfg ~rule ~file)
-    then
-      let severity =
-        Lint_config.severity cfg ~rule ~default:Diagnostic.Error
-      in
-      diags := Diagnostic.of_location ~rule ~severity ~message loc :: !diags
-  in
+  let emit = emitter ~enabled ~cfg diags in
   check_domain_safety t ~emit;
   check_hot_alloc_transitive t ~emit;
   !diags

@@ -1,8 +1,8 @@
 (* The intra-procedural atplint rules, run over one typed
-   implementation via Tast_iterator.  The two whole-program rules
-   (domain-safety, hot-path-alloc-transitive) are registered here but
-   implemented in Callgraph, which links every scanned .cmt before
-   judging.
+   implementation via Tast_iterator.  The whole-program rules are
+   registered here but implemented elsewhere: domain-safety and
+   hot-path-alloc-transitive in Callgraph, unused-export in Exports;
+   both link every scanned .cmt before judging.
 
    Suppression layers, innermost first:
      - [@atplint.allow "rule"] on an expression or let-binding,
@@ -87,6 +87,15 @@ let all_rules =
       summary = "every library module ships an interface";
       scopes = [ "lib/" ];
       whole_program = false;
+    };
+    {
+      name = "unused-export";
+      summary =
+        "every val a lib/ interface exports is referenced from some other \
+         scanned unit, tests and tools included; exempt with \
+         [@@atplint.allow] on the val";
+      scopes = [ "lib/" ];
+      whole_program = true;
     };
     {
       name = "obs-naming";
