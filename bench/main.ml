@@ -6,8 +6,7 @@
      dune exec bench/main.exe -- --quick   # reduced scale (CI-friendly)
 
    Experiments: fig1a fig1b fig1c decoupling ballsbins failures hybrid
-   eps vmm thp smp mrc coalesced multiprog hpcfigs competitive iceberg
-   engine core.
+   eps vmm thp smp mrc competitive engine fleet core reach.
 
    Every experiment runs on the Atp_exp runner: tasks execute in
    parallel with per-task outcomes (a raising task becomes an error
@@ -1142,348 +1141,14 @@ let mrc () =
     outcomes
 
 (* ------------------------------------------------------------------ *)
-(* A9: coalesced TLBs — contiguity helps only until fragmentation      *)
-(* ------------------------------------------------------------------ *)
-
-let coalesced () =
-  header
-    "A9: coalesced TLB (CoLT-style) reach under contiguous vs fragmented \
-     frame allocation";
-  let n = scale_down 500_000 in
-  let space = 1 lsl 16 in
-  let rng = Prng.create ~seed:41 () in
-  let w = Simple.zipf ~s:0.8 ~virtual_pages:space rng in
-  let trace = Workload.generate w n in
-  (* Two frame layouts: identity (perfect OS contiguity) and a random
-     permutation (fully fragmented memory). *)
-  let layout lname =
-    if String.equal lname "contiguous" then fun v -> Some v
-    else begin
-      let perm = Array.init space (fun i -> i) in
-      Prng.shuffle (Prng.create ~seed:42 ()) perm;
-      fun v -> Some perm.(v)
-    end
-  in
-  let tasks =
-    List.map
-      (fun lname ->
-        Spec.task ~key:lname (fun _reg ->
-            let pt = layout lname in
-            let tlb = Atp_tlb.Coalesced.create ~max_run:8 ~entries:1536 () in
-            Array.iter
-              (fun v ->
-                match Atp_tlb.Coalesced.lookup tlb v with
-                | Some _ -> ()
-                | None ->
-                  let frame = Option.get (pt v) in
-                  ignore
-                    (Atp_tlb.Coalesced.fill tlb ~lookup_pt:pt ~vpage:v ~frame))
-              trace;
-            let s = Atp_tlb.Coalesced.stats tlb in
-            Json.Obj
-              [
-                ("lookups", Json.Int s.Atp_tlb.Coalesced.lookups);
-                ("misses", Json.Int s.Atp_tlb.Coalesced.misses);
-                ( "miss_rate",
-                  Json.Float
-                    (float_of_int s.Atp_tlb.Coalesced.misses
-                    /. float_of_int (max 1 s.Atp_tlb.Coalesced.lookups)) );
-                ( "avg_run",
-                  Json.Float
-                    (float_of_int s.Atp_tlb.Coalesced.coalesced_pages
-                    /. float_of_int (max 1 s.Atp_tlb.Coalesced.fills)) );
-              ]))
-      [ "contiguous"; "fragmented" ]
-  in
-  let outcomes = run_spec (spec ~name:"coalesced" tasks) in
-  Report.print_table
-    ~columns:
-      [
-        Report.col_int ~width:12 ~field:"lookups" "lookups";
-        Report.col_int ~width:12 ~field:"misses" "misses";
-        Report.col_float ~decimals:4 ~field:"miss_rate" "miss rate";
-        Report.col_float ~width:16 ~decimals:2 ~field:"avg_run"
-          "avg run length";
-      ]
-    outcomes;
-  Printf.printf
-    "(decoupling needs no contiguity at all: its reach is h_max regardless \
-     of layout)\n"
-
-(* ------------------------------------------------------------------ *)
-(* A11: multiprogramming — ASIDs, flushes, and the L1/L2 hierarchy     *)
-(* ------------------------------------------------------------------ *)
-
-let multiprog () =
-  header "A11: multiprogramming a shared TLB — ASID tagging vs flush-on-switch";
-  let entries = 1536 in
-  let quantum = 1_000 in
-  let n = scale_down 400_000 in
-  let asid_task (procs, ws) =
-    Spec.task ~key:(Printf.sprintf "asid/p=%d/ws=%d" procs ws) (fun _reg ->
-        let mk_workloads () =
-          Array.init procs (fun i ->
-              let rng = Prng.create ~seed:(60 + i) () in
-              Simple.zipf ~s:0.9 ~virtual_pages:ws rng)
-        in
-        let run ~flush =
-          let t = Atp_tlb.Asid.create ~entries () in
-          let workloads = mk_workloads () in
-          let switches = n / quantum in
-          for s = 0 to switches - 1 do
-            let asid = s mod procs in
-            if flush then Atp_tlb.Asid.flush_all t;
-            let w = workloads.(asid) in
-            for _ = 1 to quantum do
-              let v = w.Workload.next () in
-              match Atp_tlb.Asid.lookup t ~asid v with
-              | Some _ -> ()
-              | None -> ignore (Atp_tlb.Asid.insert t ~asid v v)
-            done
-          done;
-          (Atp_tlb.Asid.stats t).Atp_tlb.Tlb.misses
-        in
-        let asid_misses = run ~flush:false in
-        let flush_misses = run ~flush:true in
-        Json.Obj
-          [
-            ("asid_misses", Json.Int asid_misses);
-            ("flush_misses", Json.Int flush_misses);
-            ( "ratio",
-              Json.Float
-                (float_of_int flush_misses /. float_of_int (max 1 asid_misses))
-            );
-          ])
-  in
-  (* The L1/L2 hierarchy's effective latency across locality regimes. *)
-  let hier_task (wname, mk) =
-    Spec.task ~key:("hier/" ^ wname) (fun _reg ->
-        let t = Atp_tlb.Hierarchy.create () in
-        let w : Workload.t = mk () in
-        for _ = 1 to scale_down 400_000 do
-          let v = w.Workload.next () in
-          match Atp_tlb.Hierarchy.lookup t v with
-          | Some _, _ -> ()
-          | None, _ -> Atp_tlb.Hierarchy.insert t v v
-        done;
-        let miss_pct (s : Atp_tlb.Tlb.stats) =
-          100.0 *. float_of_int s.Atp_tlb.Tlb.misses
-          /. float_of_int (max 1 s.Atp_tlb.Tlb.lookups)
-        in
-        Json.Obj
-          [
-            ("avg_cyc", Json.Float (Atp_tlb.Hierarchy.average_latency t));
-            ( "l1_miss_pct",
-              Json.Float (miss_pct (Atp_tlb.Hierarchy.l1_stats t)) );
-            ( "l2_miss_pct",
-              Json.Float (miss_pct (Atp_tlb.Hierarchy.l2_stats t)) );
-          ])
-  in
-  let tasks =
-    List.map asid_task [ (1, 512); (2, 512); (4, 512); (8, 512); (4, 2048) ]
-    @ List.map hier_task
-        [
-          ( "zipf",
-            fun () ->
-              Simple.zipf ~s:0.9 ~virtual_pages:(1 lsl 16)
-                (Prng.create ~seed:71 ()) );
-          ("stencil", fun () -> Hpc.stencil ~rows:256 ~cols:512 ());
-          ( "gups",
-            fun () ->
-              Hpc.gups ~table_pages:(1 lsl 16) (Prng.create ~seed:72 ()) );
-        ]
-  in
-  let outcomes =
-    run_spec (spec ~name:"multiprog" ~params:[ ("entries", Json.Int entries) ] tasks)
-  in
-  Report.print_table
-    ~columns:
-      [
-        Report.col_int ~field:"asid_misses" "misses (asid)";
-        Report.col_int ~field:"flush_misses" "misses (flush)";
-        Report.col_float ~width:10 ~decimals:2 ~field:"ratio" "ratio";
-      ]
-    (List.filter (with_prefix "asid/") outcomes);
-  Printf.printf "\nL1/L2 hierarchy average lookup latency (cycles):\n";
-  Report.print_table
-    ~columns:
-      [
-        Report.col_float ~width:12 ~decimals:2 ~field:"avg_cyc" "avg cyc";
-        Report.col_float ~width:12 ~field:"l1_miss_pct" "l1 miss%";
-        Report.col_float ~width:12 ~field:"l2_miss_pct" "l2 miss%";
-      ]
-    (List.filter (with_prefix "hier/") outcomes)
-
-(* ------------------------------------------------------------------ *)
-(* A12: HPC kernels through the Figure 1 sweep (both sides of the      *)
-(*      huge-page coin)                                                *)
-(* ------------------------------------------------------------------ *)
-
-let hpcfigs () =
-  header
-    "A12: HPC kernels under the huge-page sweep — dense kernels love huge \
-     pages, sparse ones drown in IO";
-  let ram = 1 lsl 16 in
-  let n = scale_down 1_000_000 in
-  let kernels =
-    [
-      ("stencil", fun () -> Hpc.stencil ~rows:512 ~cols:1024 ());
-      ( "multistream",
-        fun () -> Hpc.multistream ~streams:8 ~virtual_pages:(1 lsl 17) () );
-      ( "gups",
-        fun () -> Hpc.gups ~table_pages:(1 lsl 17) (Prng.create ~seed:81 ()) );
-      ( "pointer-chase",
-        fun () ->
-          Hpc.pointer_chase ~working_set:(1 lsl 14) ~virtual_pages:(1 lsl 17)
-            (Prng.create ~seed:82 ()) );
-    ]
-  in
-  let tasks =
-    List.concat_map
-      (fun (kname, mk) ->
-        (* One fixed (warmup, measured) trace pair per kernel, shared
-           read-only across its h tasks. *)
-        let w = mk () in
-        let warmup = Workload.generate w n in
-        let trace = Workload.generate w n in
-        List.map
-          (fun h ->
-            Spec.task ~key:(Printf.sprintf "%s/h=%d" kname h) (fun _reg ->
-                let m =
-                  Machine.create
-                    { Machine.default_config with
-                      ram_pages = ram; tlb_entries = 256; huge_size = h }
-                in
-                machine_data (Machine.run ~warmup m trace)))
-          [ 1; 16; 256 ])
-      kernels
-  in
-  let outcomes =
-    run_spec (spec ~name:"hpcfigs" ~params:[ ("ram", Json.Int ram) ] tasks)
-  in
-  Report.print_table ~columns:cost_columns outcomes
-
-(* ------------------------------------------------------------------ *)
-(* A14: iceberg hashing as a dictionary; translation prefetching       *)
-(* ------------------------------------------------------------------ *)
-
-let iceberg () =
-  header
-    "A14: Iceberg hashing as a dictionary (probe costs, front-yard \
-     residency) and TEMPO-style prefetch";
-  let open Atp_ballsbins in
-  let capacity = 1 lsl 16 in
-  let load_task load =
-    Spec.task ~key:(Printf.sprintf "load=%.2f" load) (fun _reg ->
-        let t = Iceberg_table.create ~capacity () in
-        let n = int_of_float (float_of_int capacity *. load) in
-        for k = 0 to n - 1 do
-          Iceberg_table.insert t k k
-        done;
-        Iceberg_table.reset_stats t;
-        let rng = Prng.create ~seed:101 () in
-        let lookups = scale_down 400_000 in
-        let t0 = Atp_exp.Runner.wall_clock () in
-        for _ = 1 to lookups do
-          ignore (Iceberg_table.find t (Prng.int rng n))
-        done;
-        let iceberg_time = Atp_exp.Runner.wall_clock () -. t0 in
-        let reference = Hashtbl.create capacity in
-        for k = 0 to n - 1 do
-          Hashtbl.replace reference k k
-        done;
-        let rng = Prng.create ~seed:101 () in
-        let t0 = Atp_exp.Runner.wall_clock () in
-        for _ = 1 to lookups do
-          ignore (Hashtbl.find_opt reference (Prng.int rng n))
-        done;
-        let hashtbl_time = Atp_exp.Runner.wall_clock () -. t0 in
-        let s = Iceberg_table.stats t in
-        Json.Obj
-          [
-            ( "avg_probes",
-              Json.Float
-                (float_of_int s.Iceberg_table.slots_probed
-                /. float_of_int (max 1 s.Iceberg_table.lookups)) );
-            ( "front_frac",
-              Json.Float (Iceberg_table.front_yard_fraction t) );
-            ("spill", Json.Int (Iceberg_table.overflow_count t));
-            ( "vs_hashtbl",
-              Json.Float (iceberg_time /. Float.max 1e-9 hashtbl_time) );
-          ])
-  in
-  (* Prefetch: the optimization whose payoff huge pages erode (§7). *)
-  let pt v = if v >= 0 then Some v else None in
-  let n = scale_down 400_000 in
-  let prefetch_task (wname, mk) =
-    Spec.task ~key:("prefetch/" ^ wname) (fun _reg ->
-        let run degree =
-          let t =
-            Atp_tlb.Prefetch.create ~degree ~entries:64 ~translate:pt ()
-          in
-          let w : Workload.t = mk () in
-          for _ = 1 to n do
-            ignore (Atp_tlb.Prefetch.lookup t (w.Workload.next ()))
-          done;
-          t
-        in
-        let off = run 0 and on_ = run 2 in
-        Json.Obj
-          [
-            ( "misses_off",
-              Json.Int
-                (Atp_tlb.Prefetch.stats off).Atp_tlb.Prefetch.demand_misses );
-            ( "misses_on",
-              Json.Int
-                (Atp_tlb.Prefetch.stats on_).Atp_tlb.Prefetch.demand_misses );
-            ("accuracy", Json.Float (Atp_tlb.Prefetch.accuracy on_));
-          ])
-  in
-  let tasks =
-    List.map load_task [ 0.25; 0.5; 0.75; 0.9; 1.0 ]
-    @ List.map prefetch_task
-        [
-          ( "sequential",
-            fun () -> Simple.sequential ~virtual_pages:(1 lsl 14) () );
-          ("stencil", fun () -> Hpc.stencil ~rows:128 ~cols:512 ());
-          ( "gups",
-            fun () ->
-              Hpc.gups ~table_pages:(1 lsl 14) (Prng.create ~seed:103 ()) );
-        ]
-  in
-  let outcomes =
-    run_spec (spec ~name:"iceberg" ~params:[ ("capacity", Json.Int capacity) ] tasks)
-  in
-  Report.print_table
-    ~columns:
-      [
-        Report.col_float ~decimals:2 ~field:"avg_probes" "avg probes";
-        Report.col_float ~decimals:3 ~field:"front_frac" "front frac";
-        Report.col_int ~field:"spill" "spill";
-        Report.col_float ~width:12 ~decimals:2 ~field:"vs_hashtbl" "vs Hashtbl";
-      ]
-    (List.filter (with_prefix "load=") outcomes);
-  Printf.printf "\nTEMPO-style next-page prefetch (64-entry TLB, degree 2):\n";
-  Report.print_table
-    ~columns:
-      [
-        Report.col_int ~field:"misses_off" "misses (off)";
-        Report.col_int ~field:"misses_on" "misses (on)";
-        Report.col_float ~width:12 ~decimals:3 ~field:"accuracy" "accuracy";
-      ]
-    (List.filter (with_prefix "prefetch/") outcomes)
-
-(* ------------------------------------------------------------------ *)
 (* B1: core microbenchmarks (Bechamel)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One Test.make per core operation and per figure pipeline step, plus
-   the scalar/batched TLB-hierarchy pair.  The committed BENCH_core.json
-   baseline records the rows; tools/bench_compare diffs a fresh --quick
-   run against it. *)
+(* One Test.make per core operation and per figure pipeline step.  The
+   committed BENCH_core.json baseline records the rows;
+   tools/bench_compare diffs a fresh --quick run against it. *)
 let core () =
   header "B1: core microbenchmarks (ns per operation, OLS fit)";
-  let batch_len = 256 in
   let task =
     Spec.task ~key:"bechamel" (fun _reg ->
         let open Bechamel in
@@ -1555,39 +1220,8 @@ let core () =
             (Staged.stage (fun () ->
                  Simulation.access z (Prng.int rng (1 lsl 16))))
         in
-        let tlb_scalar =
-          let h = Atp_tlb.Hierarchy.create () in
-          let rng = Prng.create ~seed:23 () in
-          Test.make ~name:"tlb-hierarchy-lookup"
-            (Staged.stage (fun () ->
-                 let key = Prng.int rng 8192 in
-                 match Atp_tlb.Hierarchy.lookup h key with
-                 | Some _, _ -> ()
-                 | None, _ -> Atp_tlb.Hierarchy.insert h key key))
-        in
-        let tlb_batch =
-          let h = Atp_tlb.Hierarchy.create () in
-          let rng = Prng.create ~seed:23 () in
-          let chunk =
-            Bigarray.Array1.create Bigarray.int Bigarray.c_layout batch_len
-          in
-          Test.make ~name:(Printf.sprintf "tlb-hierarchy-batch(%d)" batch_len)
-            (Staged.stage (fun () ->
-                 for i = 0 to batch_len - 1 do
-                   Bigarray.Array1.unsafe_set chunk i (Prng.int rng 8192)
-                 done;
-                 let r =
-                   Atp_tlb.Hierarchy.lookup_batch h
-                     ~on_miss:(fun key -> Atp_tlb.Hierarchy.insert h key key)
-                     chunk 0 batch_len
-                 in
-                 ignore (r.Atp_tlb.Hierarchy.batch_cycles : int)))
-        in
         let tests =
-          [
-            lru_test; tlb_test; alloc_test; decode_test; machine_test; sim_test;
-            tlb_scalar; tlb_batch;
-          ]
+          [ lru_test; tlb_test; alloc_test; decode_test; machine_test; sim_test ]
         in
         let grouped = Test.make_grouped ~name:"core" tests in
         let ols =
@@ -1632,11 +1266,7 @@ let core () =
       | None ->
         Printf.printf "bechamel FAILED: %s\n"
           (match Outcome.error o with Some (e, _) -> e | None -> "unknown"))
-    outcomes;
-  Printf.printf
-    "\nthe batch row is ns per %d-key block; divide by the block length \
-     before comparing with the scalar row.\n"
-    batch_len
+    outcomes
 
 (* ------------------------------------------------------------------ *)
 (* engine: sharded streaming replay vs exact sequential replay         *)
@@ -2115,11 +1745,7 @@ let experiments =
     ("thp", thp);
     ("smp", smp);
     ("mrc", mrc);
-    ("coalesced", coalesced);
-    ("multiprog", multiprog);
-    ("hpcfigs", hpcfigs);
     ("competitive", competitive);
-    ("iceberg", iceberg);
     ("engine", engine_exp);
     ("fleet", fleet_exp);
     ("core", core);

@@ -7,15 +7,14 @@
       ledger every machine is priced by.
     - {!Paging}: replacement policies, OPT, simulation, miss-ratio
       curves, competitive analysis.
-    - {!Ballsbins}: the dynamic balls-and-bins laboratory and the
-      Iceberg hash table.
-    - {!Tlb}: TLB models of every flavour.
+    - {!Ballsbins}: the dynamic balls-and-bins laboratory.
+    - {!Tlb}: the LRU TLB, the split per-page-size TLB and the
+      ASID-tagged TLB.
     - {!Memsim}: page tables, walkers, nested translation, the
       Section 6 machine on one core or many, THP, superpages, the VMM.
     - {!Core}: the paper's contribution — decoupling, the Simulation
       Theorem, the hybrid scheme, the unified scheme interface.
-    - {!Workloads}: the paper's workloads, HPC kernels, combinators,
-      trace IO. *)
+    - {!Workloads}: the paper's workloads, combinators, trace IO. *)
 
 module Util = Atp_util
 module Obs = Atp_obs

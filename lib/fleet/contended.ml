@@ -1,7 +1,8 @@
 module Obs = Atp_obs
 module Engine = Atp_engine.Engine
-module Tlb = Atp_tlb.Tlb
 module Asid = Atp_tlb.Asid
+module Lru = Atp_paging.Lru
+module Policy = Atp_paging.Policy
 
 type qos =
   | Shared
@@ -59,6 +60,10 @@ let finalize id t = {
 
 let by_tenant (a : tenant_stats) b = Int.compare a.tenant b.tenant
 
+(* One LRU access: a lookup plus an insert on a miss, as one state
+   change.  [true] on a hit. *)
+let hit set page = Policy.fast_is_hit (Lru.access_fast set page)
+
 (* One sequential pass: per-event callbacks close over the mode's
    machine state; done-stats collect at departure or end of stream. *)
 let drive ~on_arrive ~on_access ~on_depart (table : _ Tenant_table.t) source =
@@ -112,7 +117,7 @@ let run ?obs cfg qos source =
       (* RAM frames are keyed by (tenant, page): a dead tenant's pages
          can never be hit again and simply age out of the LRU — no
          scan on departure. *)
-      let ram : unit Tlb.t = Tlb.create ~entries:cfg.ram_frames () in
+      let ram = Lru.create ~capacity:cfg.ram_frames () in
       let ram_key tenant page =
         if page < 0 || page >= 1 lsl cfg.page_bits then
           invalid_arg "Contended: page out of range";
@@ -127,12 +132,7 @@ let run ?obs cfg qos source =
       in
       let fill tenant t page =
         t.t_fills <- t.t_fills + 1;
-        let key = ram_key tenant page in
-        (match Tlb.lookup ram key with
-        | Some () -> ()
-        | None ->
-          t.t_ios <- t.t_ios + 1;
-          ignore (Tlb.insert ram key ()));
+        if not (hit ram (ram_key tenant page)) then t.t_ios <- t.t_ios + 1;
         ignore (Asid.insert tlb ~asid:t.res page tenant)
       in
       let on_access tenant t page =
@@ -160,21 +160,15 @@ let run ?obs cfg qos source =
       let on_arrive _tenant =
         { t_accesses = 0; t_fills = 0; t_ios = 0;
           res =
-            ( (Tlb.create ~entries:tlb_entries () : unit Tlb.t),
-              (Tlb.create ~entries:ram_frames () : unit Tlb.t) ) }
+            ( Lru.create ~capacity:tlb_entries (),
+              Lru.create ~capacity:ram_frames () ) }
       in
       let on_access _tenant t page =
         let tlb, ram = t.res in
-        match Tlb.lookup tlb page with
-        | Some () -> ()
-        | None ->
+        if not (hit tlb page) then begin
           t.t_fills <- t.t_fills + 1;
-          (match Tlb.lookup ram page with
-          | Some () -> ()
-          | None ->
-            t.t_ios <- t.t_ios + 1;
-            ignore (Tlb.insert ram page ()));
-          ignore (Tlb.insert tlb page ())
+          if not (hit ram page) then t.t_ios <- t.t_ios + 1
+        end
       in
       let on_depart _tenant _t = () in
       let stats = drive ~on_arrive ~on_access ~on_depart table source in

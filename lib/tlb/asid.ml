@@ -42,8 +42,6 @@ let flush_asid t asid =
 
 let flush_all t = Tlb.flush t.tlb
 
-let stats t = Tlb.stats t.tlb
-
 module Allocator = struct
   (* Linux-style lazy ASID recycling: a freed id is handed out again
      only after a whole-TLB flush has run since it was freed, so reuse

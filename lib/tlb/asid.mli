@@ -3,9 +3,7 @@
     The paper observes that TLBs increasingly hold entries for several
     threads and even several applications at once, shrinking each
     one's effective share.  This model tags every entry with an
-    address-space id, so context switches need no flush; the
-    alternative — an untagged TLB flushed on every switch — can be
-    simulated with {!flush_all} to measure what ASIDs buy.
+    address-space id, so context switches need no flush.
 
     Replacement is global LRU across all address spaces, as in real
     shared TLBs: a noisy neighbor really does evict your
@@ -34,11 +32,6 @@ val flush_asid : 'a t -> int -> int
 
     @raise Invalid_argument on an out-of-range asid. *)
 
-val flush_all : 'a t -> unit
-(** What a switch costs without ASIDs. *)
-
-val stats : 'a t -> Tlb.stats
-
 val per_asid_share : 'a t -> (int * int) list
 (** Current entry count per address space: the effective-TLB-share
     measurement, sorted by asid. *)
@@ -50,7 +43,7 @@ val per_asid_share : 'a t -> (int * int) list
     tenant's translations.  Flushing per free is O(TLB) on every exit;
     instead (as in Linux's ASID allocator) a freed id becomes
     allocatable only after a {e generation rollover}: when no fresh or
-    laundered id remains, one {!flush_all} clears the TLB and makes
+    laundered id remains, one whole-TLB flush empties the TLB and makes
     every freed id clean at once.  The qcheck suite proves the no-leak
     guarantee differentially against a flush-everything reference. *)
 module Allocator : sig

@@ -39,8 +39,6 @@ let size t = t.policy.Policy.size ()
 
 let mem t key = t.policy.Policy.mem key
 
-let peek t key = Int_table.Poly.find t.payloads key
-
 let lookup t key =
   Obs.Counter.incr t.c_lookups;
   if t.policy.Policy.mem key then begin
@@ -56,24 +54,6 @@ let lookup t key =
     Obs.Counter.incr t.c_misses;
     Obs.Trace.record t.tr Obs.Event.Tlb_miss key 0;
     None
-  end
-
-(* The allocation-free lookup: same counters, trace events, and
-   recency effect as [lookup], but no payload option.  The policy call
-   happens only on a confirmed hit, so it can never insert. *)
-let[@atplint.hot] probe_fast t key =
-  Obs.Counter.incr t.c_lookups;
-  if t.policy.Policy.mem key then begin
-    if not (Policy.fast_is_hit (t.policy.Policy.access_fast key)) then
-      assert false;
-    Obs.Counter.incr t.c_hits;
-    Obs.Trace.record t.tr Obs.Event.Tlb_hit key 0;
-    true
-  end
-  else begin
-    Obs.Counter.incr t.c_misses;
-    Obs.Trace.record t.tr Obs.Event.Tlb_miss key 0;
-    false
   end
 
 let insert t key payload =
@@ -94,13 +74,6 @@ let insert t key payload =
      Obs.Counter.incr t.c_evictions;
      Obs.Trace.record t.tr Obs.Event.Eviction victim key);
   evicted
-
-let update t key payload =
-  if Int_table.Poly.mem t.payloads key then begin
-    Int_table.Poly.set t.payloads key payload;
-    true
-  end
-  else false
 
 let invalidate t key =
   if t.policy.Policy.remove key then begin

@@ -1,12 +1,11 @@
 (** A fully associative LRU TLB: a capacity-bounded cache from
     virtual (huge-)page numbers to payloads.
 
-    The payload type is abstract because the two users differ: the
-    Section 6 simulator stores physical huge-page base frames, while
-    the decoupling scheme of Sections 3–4 stores the w-bit encoded
-    value ψ(u).  Updating a payload in place (a ψ update when a
-    constituent page moves) is free and does not touch recency,
-    matching the cost model. *)
+    The payload type is abstract because the users differ:
+    [Atp_memsim.Walker]'s page-walk cache and victim store keep [unit],
+    [Atp_memsim.Vmm] and [Atp_memsim.Nested] keep physical frames, and
+    {!Split} and {!Asid} build on this module and carry their caller's
+    payload. *)
 
 type 'a t
 
@@ -37,22 +36,10 @@ val lookup : 'a t -> int -> 'a option
     A miss does {e not} insert — the caller decides what translation to
     load (and pays ε). *)
 
-val probe_fast : 'a t -> int -> bool
-(** Allocation-free [lookup]: same counters, trace events, and recency
-    effect, but reports only presence — no payload option.  The batch
-    lookup paths are built on this. *)
-
-val peek : 'a t -> int -> 'a option
-(** Read without touching recency or stats. *)
-
 val insert : 'a t -> int -> 'a -> (int * 'a) option
 (** Insert a translation, returning the evicted (key, payload) if the
     TLB was full.  Inserting an existing key refreshes its payload and
     recency without eviction. *)
-
-val update : 'a t -> int -> 'a -> bool
-(** Replace the payload of a present key without touching recency or
-    stats; [false] if absent. *)
 
 val invalidate : 'a t -> int -> bool
 (** TLB shootdown of one entry. *)

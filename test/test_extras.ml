@@ -1,5 +1,5 @@
 (* Tests for the extended analysis tools and policies: Mattson
-   miss-ratio curves, SLRU, LIRS, and the coalesced TLB. *)
+   miss-ratio curves, SLRU and LIRS. *)
 
 open Atp_paging
 open Atp_util
@@ -136,59 +136,6 @@ let test_lirs_promotion () =
   ignore (Lirs.access t 100);
   check Alcotest.bool "still resident after promotion" true (Lirs.mem t 100)
 
-(* --- Coalesced TLB ------------------------------------------------------- *)
-
-let test_coalesced_run_hit () =
-  let tlb = Atp_tlb.Coalesced.create ~entries:16 () in
-  (* A page table with 8 contiguous translations. *)
-  let pt v = if v >= 0 && v < 8 then Some (100 + v) else None in
-  check Alcotest.bool "cold miss" true (Atp_tlb.Coalesced.lookup tlb 3 = None);
-  let covered = Atp_tlb.Coalesced.fill tlb ~lookup_pt:pt ~vpage:3 ~frame:103 in
-  check Alcotest.int "whole block coalesced" 8 covered;
-  (* Every page of the block now hits, with the right frame. *)
-  for v = 0 to 7 do
-    check Alcotest.(option int)
-      (Printf.sprintf "page %d" v)
-      (Some (100 + v))
-      (Atp_tlb.Coalesced.lookup tlb v)
-  done
-
-let test_coalesced_fragmented_no_reach () =
-  let tlb = Atp_tlb.Coalesced.create ~entries:16 () in
-  (* Fragmented mapping: frames are scattered, so runs stay length 1. *)
-  let pt v = if v >= 0 && v < 8 then Some (1000 - (v * 17)) else None in
-  let covered =
-    Atp_tlb.Coalesced.fill tlb ~lookup_pt:pt ~vpage:3 ~frame:(1000 - 51)
-  in
-  check Alcotest.int "no coalescing possible" 1 covered;
-  check Alcotest.bool "neighbor misses" true (Atp_tlb.Coalesced.lookup tlb 4 = None)
-
-let test_coalesced_partial_run () =
-  let tlb = Atp_tlb.Coalesced.create ~entries:16 () in
-  (* Pages 2..5 contiguous; 0,1,6,7 absent. *)
-  let pt v = if v >= 2 && v <= 5 then Some (200 + v) else None in
-  let covered = Atp_tlb.Coalesced.fill tlb ~lookup_pt:pt ~vpage:4 ~frame:204 in
-  check Alcotest.int "partial run" 4 covered;
-  check Alcotest.bool "outside the run misses" true
-    (Atp_tlb.Coalesced.lookup tlb 1 = None);
-  check Alcotest.(option int) "inside hits" (Some 202) (Atp_tlb.Coalesced.lookup tlb 2)
-
-let test_coalesced_does_not_cross_blocks () =
-  let tlb = Atp_tlb.Coalesced.create ~max_run:4 ~entries:16 () in
-  (* Contiguity spans blocks, but entries are per aligned block. *)
-  let pt v = Some (500 + v) in
-  let covered = Atp_tlb.Coalesced.fill tlb ~lookup_pt:pt ~vpage:2 ~frame:502 in
-  check Alcotest.int "capped at the aligned block" 4 covered;
-  check Alcotest.bool "next block not covered" true
-    (Atp_tlb.Coalesced.lookup tlb 4 = None)
-
-let test_coalesced_invalidate () =
-  let tlb = Atp_tlb.Coalesced.create ~entries:16 () in
-  let pt v = Some v in
-  ignore (Atp_tlb.Coalesced.fill tlb ~lookup_pt:pt ~vpage:0 ~frame:0);
-  check Alcotest.bool "shootdown" true (Atp_tlb.Coalesced.invalidate_page tlb 5);
-  check Alcotest.bool "whole run gone" true (Atp_tlb.Coalesced.lookup tlb 0 = None)
-
 let () =
   Alcotest.run "atp.extras"
     [
@@ -211,13 +158,5 @@ let () =
           Alcotest.test_case "loop beats LRU" `Quick test_lirs_loop_beats_lru;
           Alcotest.test_case "stack bounded" `Quick test_lirs_stack_bounded;
           Alcotest.test_case "promotion" `Quick test_lirs_promotion;
-        ] );
-      ( "coalesced",
-        [
-          Alcotest.test_case "run hit" `Quick test_coalesced_run_hit;
-          Alcotest.test_case "fragmented" `Quick test_coalesced_fragmented_no_reach;
-          Alcotest.test_case "partial run" `Quick test_coalesced_partial_run;
-          Alcotest.test_case "block capped" `Quick test_coalesced_does_not_cross_blocks;
-          Alcotest.test_case "invalidate" `Quick test_coalesced_invalidate;
         ] );
     ]

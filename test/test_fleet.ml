@@ -2,7 +2,8 @@
    be byte-identical to interleaved sequential replay — per-tenant
    reports AND obs snapshots — across policies and shard counts;
    tenants must be perfectly isolated;
-   counters must be conserved; and a 100k-tenant churn run must
+   counters must be conserved; the contended machine must match a
+   naive association-list model; and a 100k-tenant churn run must
    complete in O(active-tenant) memory with zero ASID leaks. *)
 
 open Atp_util
@@ -281,6 +282,133 @@ let test_reserved_isolation () =
     [ 0; 1; 5; 17 ]
 
 (* ------------------------------------------------------------------ *)
+(* Contended against a naive model                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* An LRU set as a list, most recent first: an access moves [key] to
+   the front and, on a miss, drops whatever falls past [cap]. *)
+let model_touch cap key l =
+  let hit = List.mem key l in
+  let l = key :: List.filter (fun k -> k <> key) l in
+  (hit, List.filteri (fun i _ -> i < cap) l)
+
+type model_life = {
+  m_tenant : int;
+  m_arrival : int;
+  mutable m_accesses : int;
+  mutable m_fills : int;
+  mutable m_ios : int;
+  mutable m_tlb : int list;  (* Reserved only *)
+  mutable m_ram : int list;  (* Reserved only *)
+}
+
+(* The same event stream, replayed by a model that shares no code with
+   [Contended].  [Reserved]: a private TLB and RAM per lifetime, made
+   at first sight and dropped at departure.  [Shared]: one TLB keyed
+   by (arrival, page), which is what an ASID names while no id is
+   recycled, and one RAM keyed by (tenant, page). *)
+let model_run (cfg : Contended.config) qos events =
+  let tlb = ref [] and ram = ref [] in
+  let live = ref [] and out = ref [] and arrivals = ref 0 in
+  let get tenant =
+    match List.assoc_opt tenant !live with
+    | Some l -> l
+    | None ->
+      let l =
+        { m_tenant = tenant; m_arrival = !arrivals; m_accesses = 0;
+          m_fills = 0; m_ios = 0; m_tlb = []; m_ram = [] }
+      in
+      incr arrivals;
+      live := (tenant, l) :: !live;
+      l
+  in
+  let access l page =
+    l.m_accesses <- l.m_accesses + 1;
+    let tlb_hit, ram_hit =
+      match qos with
+      | Contended.Shared ->
+        let tlb_hit, t = model_touch cfg.tlb_entries (l.m_arrival, page) !tlb in
+        tlb := t;
+        if tlb_hit then (true, true)
+        else begin
+          let ram_hit, r = model_touch cfg.ram_frames (l.m_tenant, page) !ram in
+          ram := r;
+          (false, ram_hit)
+        end
+      | Contended.Reserved { tlb_entries; ram_frames } ->
+        let tlb_hit, t = model_touch tlb_entries page l.m_tlb in
+        l.m_tlb <- t;
+        if tlb_hit then (true, true)
+        else begin
+          let ram_hit, r = model_touch ram_frames page l.m_ram in
+          l.m_ram <- r;
+          (false, ram_hit)
+        end
+    in
+    if not tlb_hit then l.m_fills <- l.m_fills + 1;
+    if not ram_hit then l.m_ios <- l.m_ios + 1
+  in
+  let finish l =
+    out :=
+      { Contended.tenant = l.m_tenant; accesses = l.m_accesses;
+        tlb_fills = l.m_fills; ios = l.m_ios }
+      :: !out
+  in
+  List.iter
+    (function
+      | Engine.Tarrive { tenant } -> ignore (get tenant)
+      | Engine.Taccess { tenant; page } -> access (get tenant) page
+      | Engine.Tdepart { tenant } -> (
+        match List.assoc_opt tenant !live with
+        | None -> ()
+        | Some l ->
+          finish l;
+          live := List.remove_assoc tenant !live))
+    events;
+  List.iter (fun (_, l) -> finish l) !live;
+  List.stable_sort
+    (fun (a : Contended.tenant_stats) b -> Int.compare a.tenant b.tenant)
+    (List.rev !out)
+
+(* Streams of up to 300 events over 4 tenants and 12 pages, so
+   departed ids come back and every cache both hits and evicts; 2^9
+   ids outnumber any stream's arrivals, so no id is ever recycled. *)
+let prop_contended_matches_model =
+  let gen =
+    QCheck.(
+      triple
+        (pair (int_bound 5) (int_bound 11))
+        (pair (int_bound 3) (int_bound 7))
+        (list_of_size (Gen.int_range 0 300)
+           (triple (int_bound 3) (int_bound 7) (int_bound 11))))
+  in
+  QCheck.Test.make ~count:200 ~name:"Contended = association-list model" gen
+    (fun ((tlb, ram), (r_tlb, r_ram), ops) ->
+      (* Sizes count from 1; [int_bound] keeps shrinking in range. *)
+      let cfg =
+        { Contended.tlb_entries = tlb + 1; ram_frames = ram + 1;
+          asid_bits = 9; page_bits = 8 }
+      in
+      let events =
+        List.map
+          (fun (tenant, kind, page) ->
+            match kind with
+            | 0 -> Engine.Tarrive { tenant }
+            | 1 -> Engine.Tdepart { tenant }
+            | _ -> Engine.Taccess { tenant; page })
+          ops
+      in
+      List.for_all
+        (fun qos ->
+          let r = Contended.run cfg qos (source_of_events (Array.of_list events)) in
+          if r.Contended.rollovers <> 0 || r.Contended.leaks <> 0 then
+            QCheck.Test.fail_reportf "rollovers %d, leaks %d"
+              r.Contended.rollovers r.Contended.leaks;
+          r.Contended.stats = model_run cfg qos events)
+        [ Contended.Shared;
+          Contended.Reserved { tlb_entries = r_tlb + 1; ram_frames = r_ram + 1 } ])
+
+(* ------------------------------------------------------------------ *)
 (* Fairness summary                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -421,7 +549,8 @@ let () =
           Alcotest.test_case "access conservation" `Quick
             test_contended_conservation;
           Alcotest.test_case "reserved isolation" `Quick test_reserved_isolation;
-        ] );
+        ]
+        @ qsuite [ prop_contended_matches_model ] );
       ( "fairness",
         [
           Alcotest.test_case "exact statistics" `Quick test_fairness_exact;

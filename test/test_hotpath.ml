@@ -1,8 +1,7 @@
 (* The allocation-free hot-path primitives must agree with their
    reference forms: the int-coded Z step with the golden recorded from
-   the boxed-outcome core it replaced, the zero-copy chunk visitors with
-   the trace they decode, and the batched TLB-hierarchy probe with
-   scalar lookups. *)
+   the boxed-outcome core it replaced, and the zero-copy chunk visitors
+   with the trace they decode. *)
 
 open Atp_workloads
 
@@ -128,74 +127,6 @@ let prop_read_into_agrees_with_next_chunk =
       in
       via_chunks = pages)
 
-(* --- batched TLB hierarchy probe = scalar lookups ------------------- *)
-
-let hierarchy_stats h =
-  ( Atp_tlb.Hierarchy.lookups h,
-    Atp_tlb.Hierarchy.total_cycles h,
-    Atp_tlb.Hierarchy.l1_stats h,
-    Atp_tlb.Hierarchy.l2_stats h,
-    Atp_tlb.Hierarchy.tcache_stats h )
-
-let prop_lookup_batch_equals_scalar =
-  QCheck.Test.make ~count:60 ~name:"Hierarchy.lookup_batch = scalar lookups"
-    QCheck.(
-      triple (int_range 1 40)
-        (list_of_size Gen.(int_range 1 400) (int_bound 200))
-        (* Victim store off, or small enough to churn. *)
-        (oneofl [ 0; 3; 8 ]))
-    (fun (universe, keys, tcache_entries) ->
-      let keys = List.map (fun k -> k mod universe) keys in
-      let config =
-        { Atp_tlb.Hierarchy.l1_entries = 4;
-          l2_entries = 16;
-          l1_latency = 1;
-          l2_latency = 7;
-          tcache_entries;
-          tcache_latency = 30;
-        }
-      in
-      (* Scalar reference: lookup, walk + insert on miss. *)
-      let hs = Atp_tlb.Hierarchy.create ~config () in
-      let scalar_misses = ref 0 in
-      List.iter
-        (fun key ->
-          match Atp_tlb.Hierarchy.lookup hs key with
-          | Some _, _ -> ()
-          | None, _ ->
-            incr scalar_misses;
-            Atp_tlb.Hierarchy.insert hs key (key * 3))
-        keys;
-      (* Batched path over the same keys in one chunk. *)
-      let hb = Atp_tlb.Hierarchy.create ~config () in
-      let chunk =
-        Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-          (List.length keys)
-      in
-      List.iteri (fun i k -> Bigarray.Array1.set chunk i k) keys;
-      (* Feed block by block so refills interleave as in the scalar
-         run; batch misses must walk-and-insert just like the scalar
-         loop for the states to stay identical. *)
-      let batch_misses = ref 0 in
-      let n = Bigarray.Array1.dim chunk in
-      let block = 7 in
-      let rec go pos =
-        if pos < n then begin
-          let len = min block (n - pos) in
-          let r =
-            Atp_tlb.Hierarchy.lookup_batch hb
-              ~on_miss:(fun key ->
-                incr batch_misses;
-                Atp_tlb.Hierarchy.insert hb key (key * 3))
-              chunk pos len
-          in
-          ignore (r : Atp_tlb.Hierarchy.batch_result);
-          go (pos + len)
-        end
-      in
-      go 0;
-      !scalar_misses = !batch_misses && hierarchy_stats hs = hierarchy_stats hb)
-
 let () =
   Alcotest.run "hotpath"
     [
@@ -213,5 +144,4 @@ let () =
             prop_read_into_roundtrip;
             prop_read_into_agrees_with_next_chunk;
           ] );
-      ("tlb-batch", qsuite [ prop_lookup_batch_equals_scalar ]);
     ]

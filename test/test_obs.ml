@@ -6,7 +6,6 @@
 open Atp_util
 module Obs = Atp_obs
 module Tlb = Atp_tlb.Tlb
-module Hierarchy = Atp_tlb.Hierarchy
 module Machine = Atp_memsim.Machine
 module Page_table = Atp_memsim.Page_table
 module Walker = Atp_memsim.Walker
@@ -301,25 +300,6 @@ let test_walker_obs_matches_stats () =
   check Alcotest.int "cycle histogram count" s.Walker.walks
     (Obs.Histogram.count (Obs.Registry.histogram reg "walker.walk_cycles"))
 
-let test_hierarchy_obs_matches_stats () =
-  let reg = Obs.Registry.create () in
-  let h = Hierarchy.create ~obs:(Obs.Scope.v ~prefix:"hier" reg) () in
-  let rng = Prng.create ~seed:19 () in
-  for _ = 1 to 2_000 do
-    let v = Prng.int rng 4_096 in
-    match Hierarchy.lookup h v with
-    | Some _, _ -> ()
-    | None, _ -> Hierarchy.insert h v v
-  done;
-  check Alcotest.int "lookups" (Hierarchy.lookups h)
-    (counter_value reg "hier.lookups");
-  check Alcotest.int "l1 lookups" (Hierarchy.l1_stats h).Tlb.lookups
-    (counter_value reg "hier.l1.lookups");
-  check Alcotest.int "l2 misses" (Hierarchy.l2_stats h).Tlb.misses
-    (counter_value reg "hier.l2.misses");
-  check Alcotest.int "latency histogram count" (Hierarchy.lookups h)
-    (Obs.Histogram.count (Obs.Registry.histogram reg "hier.lookup_cycles"))
-
 let () =
   Alcotest.run "obs"
     [
@@ -366,6 +346,5 @@ let () =
           Alcotest.test_case "simulation" `Quick
             test_simulation_obs_matches_report;
           Alcotest.test_case "walker" `Quick test_walker_obs_matches_stats;
-          Alcotest.test_case "hierarchy" `Quick test_hierarchy_obs_matches_stats;
         ] );
     ]

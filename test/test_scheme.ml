@@ -1,5 +1,5 @@
-(* Tests for the unified scheme interface, Vöcking's always-go-left
-   strategy, and the embedding-lookup workload. *)
+(* Tests for the unified scheme interface and Vöcking's always-go-left
+   strategy. *)
 
 open Atp_core
 open Atp_ballsbins
@@ -165,35 +165,6 @@ let test_left_greedy_balances () =
     true
     (r.Runner.max_load_final <= 8 + 4)
 
-(* --- Embedding workload ------------------------------------------------------ *)
-
-let test_embedding_vectors_contiguous () =
-  let rng = Prng.create ~seed:8 () in
-  let w = Hpc.embedding_lookup ~batch:2 ~vector_pages:3 ~rows:100 rng in
-  let trace = Workload.generate w 6 in
-  (* Pages come in runs of 3 consecutive pages, aligned to vectors. *)
-  for i = 0 to 1 do
-    let base = trace.(i * 3) in
-    check Alcotest.int "vector aligned" 0 (base mod 3);
-    check Alcotest.int "second page" (base + 1) trace.((i * 3) + 1);
-    check Alcotest.int "third page" (base + 2) trace.((i * 3) + 2)
-  done
-
-let test_embedding_skew () =
-  let rng = Prng.create ~seed:9 () in
-  let w = Hpc.embedding_lookup ~batch:8 ~vector_pages:1 ~rows:10_000 rng in
-  let trace = Workload.generate w 50_000 in
-  (* Zipf rows: the head row absorbs a macroscopic share of accesses. *)
-  let head_hits =
-    Array.fold_left (fun acc p -> if p = 0 then acc + 1 else acc) 0 trace
-  in
-  check Alcotest.bool
-    (Printf.sprintf "head row hot (%d of 50k)" head_hits)
-    true (head_hits > 2_000);
-  Array.iter
-    (fun p -> check Alcotest.bool "in table" true (p >= 0 && p < 10_000))
-    trace
-
 let () =
   Alcotest.run "atp.scheme"
     [
@@ -213,10 +184,5 @@ let () =
           Alcotest.test_case "validates" `Quick test_left_greedy_validates;
           Alcotest.test_case "ties go left" `Quick test_left_greedy_groups;
           Alcotest.test_case "balances" `Quick test_left_greedy_balances;
-        ] );
-      ( "embedding",
-        [
-          Alcotest.test_case "contiguous vectors" `Quick test_embedding_vectors_contiguous;
-          Alcotest.test_case "skew" `Quick test_embedding_skew;
         ] );
     ]

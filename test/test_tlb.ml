@@ -37,17 +37,7 @@ let test_tlb_insert_existing_refreshes () =
   (match Tlb.insert t 3 30 with
    | Some (victim, _) -> check Alcotest.int "victim is 2" 2 victim
    | None -> Alcotest.fail "expected eviction");
-  check Alcotest.(option int) "payload refreshed" (Some 11) (Tlb.peek t 1)
-
-let test_tlb_update_silent () =
-  let t = Tlb.create ~entries:2 () in
-  ignore (Tlb.insert t 1 10);
-  let before = Tlb.stats t in
-  check Alcotest.bool "update present" true (Tlb.update t 1 99);
-  check Alcotest.bool "update absent" false (Tlb.update t 7 0);
-  let after = Tlb.stats t in
-  check Alcotest.int "no stat change" before.Tlb.lookups after.Tlb.lookups;
-  check Alcotest.(option int) "new payload" (Some 99) (Tlb.peek t 1)
+  check Alcotest.(option int) "payload refreshed" (Some 11) (Tlb.lookup t 1)
 
 let test_tlb_invalidate_and_flush () =
   let t = Tlb.create ~entries:4 () in
@@ -61,16 +51,6 @@ let test_tlb_invalidate_and_flush () =
   (* Room for everyone again. *)
   ignore (Tlb.insert t 5 50);
   check Alcotest.bool "usable after flush" true (Tlb.mem t 5)
-
-let test_tlb_peek_does_not_touch () =
-  let t = Tlb.create ~entries:2 () in
-  ignore (Tlb.insert t 1 10);
-  ignore (Tlb.insert t 2 20);
-  ignore (Tlb.peek t 1);
-  (* 1 is still the LRU victim because peek didn't refresh it. *)
-  match Tlb.insert t 3 30 with
-  | Some (victim, _) -> check Alcotest.int "peek is silent" 1 victim
-  | None -> Alcotest.fail "expected eviction"
 
 (* --- Split TLB ------------------------------------------------------ *)
 
@@ -144,9 +124,7 @@ let () =
           Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
           Alcotest.test_case "eviction order" `Quick test_tlb_eviction_order;
           Alcotest.test_case "reinsert refreshes" `Quick test_tlb_insert_existing_refreshes;
-          Alcotest.test_case "update silent" `Quick test_tlb_update_silent;
           Alcotest.test_case "invalidate/flush" `Quick test_tlb_invalidate_and_flush;
-          Alcotest.test_case "peek silent" `Quick test_tlb_peek_does_not_touch;
         ] );
       ( "split",
         [
