@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- --quick   # reduced scale (CI-friendly)
 
    Experiments: fig1a fig1b fig1c decoupling ballsbins failures hybrid
-   eps vmm thp smp mrc competitive engine fleet core reach.
+   eps vmm thp smp mrc competitive engine core reach.
 
    Every experiment runs on the Atp_exp runner: tasks execute in
    parallel with per-task outcomes (a raising task becomes an error
@@ -1557,180 +1557,6 @@ let reach () =
     tcache_epsilon tcache_latency
     (Page_table.levels * Walker.default_config.Walker.memory_latency)
 
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* B6: fleet — noisy neighbors, QoS, and tenant-sharded replay         *)
-(* ------------------------------------------------------------------ *)
-
-(* The multi-tenant churn experiment: one fleet of short-lived address
-   spaces with two immortal heavy tenants (the noisy neighbors),
-   replayed three ways — on shared translation hardware (global LRU:
-   the neighbors evict everyone), on reserved per-tenant slices of the
-   same hardware, and tenant-partitioned on the engine at increasing
-   shard counts.  Rows carry the per-tenant per-access cost
-   distribution (p50/p99/mean/Jain); the sharded rows are asserted
-   byte-identical to the 1-shard replay before reporting, and CI gates
-   the reserved row's p99 at 5%. *)
-let fleet_exp () =
-  header "fleet: noisy neighbors, QoS policies, tenant-sharded replay";
-  let module Engine = Atp_engine.Engine in
-  let module Lifecycle = Atp_fleet.Lifecycle in
-  let module Contended = Atp_fleet.Contended in
-  let module Fleet = Atp_fleet.Fleet in
-  let ticks = scale_down 4_000 in
-  let cfg =
-    {
-      Lifecycle.seed = 42;
-      ticks;
-      arrival_rate = 0.5;
-      mean_lifetime = 150.0;
-      accesses_per_tick = 64;
-      max_active = 128;
-      initial = 16;
-      pinned = 2;
-      pinned_weight = 16.0;
-    }
-  in
-  let vpages = 1024 in
-  let spec_of name =
-    Mix.spec ~name ~weights:[| 0.7; 0.3 |]
-      [|
-        (fun rng -> Simple.zipf ~virtual_pages:vpages rng);
-        (fun rng -> Simple.uniform ~virtual_pages:vpages rng);
-      |]
-  in
-  let mix = spec_of "fleet-mix" in
-  let machine =
-    {
-      Contended.tlb_entries = 64;
-      ram_frames = 2_048;
-      asid_bits = 8;
-      page_bits = 20;
-    }
-  in
-  let fair_row (f : Fleet.fairness) ~extra ~wall =
-    Json.Obj
-      ([
-         ("tenants", Json.Int f.Fleet.tenants);
-         ("mean", Json.Float f.Fleet.mean);
-         ("p50", Json.Float f.Fleet.p50);
-         ("p99", Json.Float f.Fleet.p99);
-         ("max", Json.Float f.Fleet.max_cost);
-         ("jain", Json.Float f.Fleet.jain);
-       ]
-      @ extra
-      @ [ ("wall", Json.Float wall) ])
-  in
-  let contended_task ~key ~cfg qos =
-    Spec.task ~key (fun reg ->
-        let t0 = Atp_exp.Runner.wall_clock () in
-        let r =
-          Contended.run
-            ~obs:(Obs.Scope.v ~prefix:"fleet" reg)
-            machine qos
-            (Lifecycle.source cfg ~spec:mix)
-        in
-        let wall = Atp_exp.Runner.wall_clock () -. t0 in
-        if r.Contended.leaks <> 0 then
-          failwith "asid recycling leaked a stale translation";
-        fair_row
-          (Fleet.of_stats ~epsilon r.Contended.stats)
-          ~extra:
-            [
-              ("rollovers", Json.Int r.Contended.rollovers);
-              ("peak_active", Json.Int r.Contended.peak_active);
-            ]
-          ~wall)
-  in
-  let reserved =
-    Contended.Reserved
-      {
-        tlb_entries = max 1 (machine.Contended.tlb_entries / cfg.Lifecycle.max_active);
-        ram_frames = max 1 (machine.Contended.ram_frames / cfg.Lifecycle.max_active);
-      }
-  in
-  (* Tenant-partitioned engine replay: per-tenant full simulators.
-     The 1-shard reports are ground truth; every other shard count
-     must reproduce them byte-for-byte before its row is written. *)
-  let make_sim tenant =
-    let params = Params.derive ~p:2_048 ~w:64 () in
-    let x =
-      Policy.instantiate (module Lru)
-        ~rng:(Prng.create ~seed:(11 + tenant) ())
-        ~capacity:16 ()
-    in
-    let y =
-      Policy.instantiate (module Lru)
-        ~rng:(Prng.create ~seed:(13 + tenant) ())
-        ~capacity:64 ()
-    in
-    Simulation.create ~seed:(7 + tenant) ~params ~x ~y ()
-  in
-  let part_t0 = Atp_exp.Runner.wall_clock () in
-  let baseline =
-    Engine.replay_tenants ~shards:1 ~make_sim (fun () ->
-        Lifecycle.source cfg ~spec:mix)
-  in
-  let part_wall = Atp_exp.Runner.wall_clock () -. part_t0 in
-  let partitioned_task shards =
-    Spec.task ~key:(Printf.sprintf "partitioned/shards=%d" shards) (fun reg ->
-        let t0 = Atp_exp.Runner.wall_clock () in
-        let reports =
-          Engine.replay_tenants
-            ~obs:(Obs.Scope.v ~prefix:"fleet" reg)
-            ~shards ~make_sim
-            (fun () -> Lifecycle.source cfg ~spec:mix)
-        in
-        let wall = Atp_exp.Runner.wall_clock () -. t0 in
-        if reports <> baseline then
-          failwith "tenant-sharded reports differ from 1-shard replay";
-        fair_row
-          (Fleet.of_reports ~epsilon reports)
-          ~extra:
-            [
-              ( "speedup",
-                Json.Float (if wall > 0. then part_wall /. wall else 0.) );
-            ]
-          ~wall)
-  in
-  let quiet_cfg = { cfg with Lifecycle.pinned = 0 } in
-  let outcomes =
-    run_spec
-      (spec ~name:"fleet"
-         ~params:
-           [
-             ("ticks", Json.Int ticks);
-             ("max_active", Json.Int cfg.Lifecycle.max_active);
-             ("pinned", Json.Int cfg.Lifecycle.pinned);
-             ("pinned_weight", Json.Float cfg.Lifecycle.pinned_weight);
-             ("vpages", Json.Int vpages);
-             ("tlb_entries", Json.Int machine.Contended.tlb_entries);
-             ("ram_frames", Json.Int machine.Contended.ram_frames);
-           ]
-         ([
-            contended_task ~key:"shared" ~cfg Contended.Shared;
-            contended_task ~key:"shared/quiet" ~cfg:quiet_cfg Contended.Shared;
-            contended_task ~key:"reserved" ~cfg reserved;
-          ]
-         @ List.map partitioned_task [ 1; 2; 4; 8 ]))
-  in
-  Report.print_table
-    ~columns:
-      [
-        Report.col_int ~field:"tenants" "tenants";
-        Report.col_float ~decimals:4 ~field:"p50" "p50 cost";
-        Report.col_float ~decimals:4 ~field:"p99" "p99 cost";
-        Report.col_float ~decimals:4 ~field:"mean" "mean";
-        Report.col_float ~decimals:4 ~field:"jain" "Jain";
-        Report.col_float ~decimals:2 ~field:"wall" "wall (s)";
-      ]
-    outcomes;
-  print_string
-    "\nshared vs reserved is the QoS contrast (same hardware budget); \
-     partitioned rows\nare asserted byte-identical across shard counts \
-     before they are written.\n"
-
 let experiments =
   [
     ("fig1a", fig1a);
@@ -1747,7 +1573,6 @@ let experiments =
     ("mrc", mrc);
     ("competitive", competitive);
     ("engine", engine_exp);
-    ("fleet", fleet_exp);
     ("core", core);
     ("reach", reach);
   ]

@@ -995,155 +995,6 @@ let thp_cmd =
               ~doc:"Huge-page size in base pages (power of two)."))
 
 (* ------------------------------------------------------------------ *)
-(* fleet                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let fleet_cmd =
-  let open Atp_fleet in
-  let mode_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("shared", `Shared);
-               ("reserved", `Reserved);
-               ("partitioned", `Partitioned);
-             ])
-          `Shared
-      & info [ "qos" ] ~docv:"MODE"
-          ~doc:
-            "QoS mode: $(b,shared) (one ASID-tagged TLB and one RAM, global \
-             LRU — noisy neighbors evict everyone), $(b,reserved) (per-tenant \
-             slices of the same hardware), or $(b,partitioned) (per-tenant \
-             full simulators replayed tenant-sharded on the engine).")
-  in
-  let intf name default doc =
-    Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
-  in
-  let floatf name default doc =
-    Arg.(value & opt float default & info [ name ] ~docv:"X" ~doc)
-  in
-  let run mode ticks arrival lifetime refs_per_tick max_active initial pinned
-      pinned_weight vpages tlb ram shards policy epsilon seed metrics trace_out
-      trace_capacity =
-    let cfg =
-      {
-        Lifecycle.seed;
-        ticks;
-        arrival_rate = arrival;
-        mean_lifetime = lifetime;
-        accesses_per_tick = refs_per_tick;
-        max_active;
-        initial;
-        pinned;
-        pinned_weight;
-      }
-    in
-    (try Lifecycle.validate cfg
-     with Invalid_argument msg ->
-       Format.eprintf "atsim: %s@." msg;
-       exit exit_usage);
-    let spec =
-      Mix.spec ~name:"fleet-mix" ~weights:[| 0.7; 0.3 |]
-        [|
-          (fun rng -> Simple.zipf ~virtual_pages:vpages rng);
-          (fun rng -> Simple.uniform ~virtual_pages:vpages rng);
-        |]
-    in
-    let reg = mk_registry ~trace_out ~trace_capacity in
-    let scope = Obs.Scope.v ~prefix:"fleet" reg in
-    let fairness =
-      match mode with
-      | (`Shared | `Reserved) as m ->
-        let machine =
-          {
-            Contended.default with
-            Contended.tlb_entries = tlb;
-            ram_frames = ram;
-          }
-        in
-        let qos =
-          match m with
-          | `Shared -> Contended.Shared
-          | `Reserved ->
-            (* An equal static slice of the shared hardware apiece. *)
-            Contended.Reserved
-              {
-                tlb_entries = max 1 (tlb / max_active);
-                ram_frames = max 1 (ram / max_active);
-              }
-        in
-        let r =
-          Contended.run ~obs:scope machine qos (Lifecycle.source cfg ~spec)
-        in
-        Format.printf
-          "tenants reported: %d; peak active: %d; asid rollovers: %d; leaks: \
-           %d@."
-          (List.length r.Contended.stats)
-          r.Contended.peak_active r.Contended.rollovers r.Contended.leaks;
-        Fleet.of_stats ~epsilon r.Contended.stats
-      | `Partitioned ->
-        let p = Registry.find_exn policy in
-        (* Y's capacity must fit under the (1-δ)P budget, so derive
-           the decoupling parameters for a comfortably larger P. *)
-        let params = Params.derive ~p:(2 * ram) ~w:64 () in
-        let make_sim tenant =
-          let x =
-            Policy.instantiate p
-              ~rng:(Prng.create ~seed:(seed + 11 + tenant) ())
-              ~capacity:tlb ()
-          in
-          let y =
-            Policy.instantiate p
-              ~rng:(Prng.create ~seed:(seed + 13 + tenant) ())
-              ~capacity:ram ()
-          in
-          Simulation.create ~seed:(seed + 7 + tenant) ~params ~x ~y ()
-        in
-        let reports =
-          Engine.replay_tenants ~obs:scope ~shards ~make_sim (fun () ->
-              Lifecycle.source cfg ~spec)
-        in
-        Format.printf "tenants reported: %d; %a@." (List.length reports)
-          Engine.pp_totals
-          (Engine.tenant_totals reports);
-        Fleet.of_reports ~epsilon reports
-    in
-    Fleet.observe scope fairness;
-    Format.printf "per-tenant cost: %a@." Fleet.pp fairness;
-    export_obs reg ~metrics ~trace_out
-  in
-  Cmd.v
-    (Cmd.info ~exits "fleet"
-       ~doc:
-         "Simulate a churning multi-tenant fleet: stochastic arrivals and \
-          departures, per-tenant mixed workloads, shared or reserved \
-          translation hardware, and a per-tenant fairness report \
-          (p50/p99/Jain).")
-    Term.(
-      const run $ mode_arg
-      $ intf "ticks" 2_000 "Simulation length in ticks."
-      $ floatf "arrival-rate" 0.5 "Expected tenant arrivals per tick."
-      $ floatf "lifetime" 200.0 "Mean tenant lifetime in ticks."
-      $ intf "refs-per-tick" 64 "Fleet-wide references per tick."
-      $ intf "max-active" 256 "Cap on concurrently active tenants."
-      $ intf "initial" 16 "Tenants present at tick 0."
-      $ intf "pinned" 0 "Immortal heavy (noisy-neighbor) tenants."
-      $ floatf "pinned-weight" 8.0 "Issue weight of a pinned tenant."
-      $ Arg.(
-          value
-          & opt (int_at_least 1) 4096
-          & info [ "vpages" ] ~docv:"PAGES"
-              ~doc:"Per-tenant virtual address space in pages.")
-      $ tlb_arg $ ram_arg
-      $ intf "fleet-shards" 4 "Tenant shards (partitioned mode)."
-      $ policy_arg ~name:"policy" ~default:"lru"
-          ~doc:"Replacement policy (partitioned mode)."
-      $ epsilon_arg $ seed_arg $ metrics_arg $ trace_out_arg
-      $ trace_capacity_arg)
-
-(* ------------------------------------------------------------------ *)
 (* compare                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1219,7 +1070,6 @@ let () =
             trace_cmd;
             mrc_cmd;
             thp_cmd;
-            fleet_cmd;
             compare_cmd;
           ])
        (* cmdliner's 124, a flag it cannot parse, is a usage error. *)

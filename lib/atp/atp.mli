@@ -8,13 +8,12 @@
     - {!Paging}: replacement policies, OPT, simulation, miss-ratio
       curves, competitive analysis.
     - {!Ballsbins}: the dynamic balls-and-bins laboratory.
-    - {!Tlb}: the LRU TLB, the split per-page-size TLB and the
-      ASID-tagged TLB.
+    - {!Tlb}: the LRU TLB and the split per-page-size TLB.
     - {!Memsim}: page tables, walkers, nested translation, the
       Section 6 machine on one core or many, THP, superpages, the VMM.
     - {!Core}: the paper's contribution — decoupling, the Simulation
       Theorem, the hybrid scheme, the unified scheme interface.
-    - {!Workloads}: the paper's workloads, combinators, trace IO. *)
+    - {!Workloads}: the paper's workloads, trace IO and import. *)
 
 module Util = Atp_util
 module Obs = Atp_obs

@@ -175,100 +175,3 @@ let replay ?obs ~config ~make_sim source =
         reports
   done;
   !totals
-
-(* --- tenant-partitioned replay ------------------------------------ *)
-
-type tenant_event =
-  | Tarrive of { tenant : int }
-  | Taccess of { tenant : int; page : int }
-  | Tdepart of { tenant : int }
-
-type tenant_source = unit -> tenant_event option
-
-type tenant_report = { tenant : int; report : Simulation.report }
-
-let pp_tenant_report ppf t =
-  Format.fprintf ppf "tenant=%d %a" t.tenant Simulation.pp_report t.report
-
-(* Additive bookkeeping returned from each partition, folded into obs
-   counters by the caller: worker domains never touch shared state. *)
-type partition_counts = { arrived : int; departed : int; accessed : int }
-
-(* Replay the tenants owned by [shard] (tenant mod shards = shard),
-   one private simulator per active tenant, created on first sight and
-   dropped at departure — memory is O(active tenants in this
-   partition).  A tenant's report is finalized at its Tdepart, or at
-   end of stream (in tenant-id order) if it never departs. *)
-let run_partition ~shard ~shards ~make_sim source =
-  let sims = Int_table.Poly.create () in
-  let out = ref [] in
-  let arrived = ref 0 and departed = ref 0 and accessed = ref 0 in
-  let get tenant =
-    if tenant < 0 then invalid_arg "Engine: negative tenant id";
-    match Int_table.Poly.find sims tenant with
-    | Some s -> s
-    | None ->
-      let s = make_sim tenant in
-      incr arrived;
-      Int_table.Poly.set sims tenant s;
-      s
-  in
-  let owned tenant =
-    if tenant < 0 then invalid_arg "Engine: negative tenant id";
-    tenant mod shards = shard
-  in
-  let finished = ref false in
-  while not !finished do
-    match source () with
-    | None -> finished := true
-    | Some (Tarrive { tenant }) -> if owned tenant then ignore (get tenant)
-    | Some (Taccess { tenant; page }) ->
-      if owned tenant then begin
-        Simulation.access (get tenant) page;
-        incr accessed
-      end
-    | Some (Tdepart { tenant }) -> (
-      if owned tenant then
-        match Int_table.Poly.find sims tenant with
-        | None -> ()
-        | Some s ->
-          incr departed;
-          ignore (Int_table.Poly.remove sims tenant);
-          out := { tenant; report = Simulation.report s } :: !out)
-  done;
-  let rest = Int_table.Poly.fold (fun t s acc -> (t, s) :: acc) sims [] in
-  List.iter
-    (fun (tenant, s) -> out := { tenant; report = Simulation.report s } :: !out)
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) rest);
-  ( List.rev !out,
-    { arrived = !arrived; departed = !departed; accessed = !accessed } )
-
-let by_tenant a b = Int.compare a.tenant b.tenant
-
-let replay_tenants ?obs ~shards ~make_sim make_source =
-  if shards < 1 then invalid_arg "Engine.replay_tenants: shards must be positive";
-  let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
-  let c_tenants = Obs.Scope.counter obs "tenants"
-  and c_departures = Obs.Scope.counter obs "tenant_departures"
-  and c_accesses = Obs.Scope.counter obs "tenant_accesses" in
-  let parts =
-    Parallel.map
-      (fun shard ->
-        let source = make_source () in
-        run_partition ~shard ~shards ~make_sim source)
-      (List.init shards (fun i -> i))
-  in
-  List.iter
-    (fun (_, c) ->
-      Obs.Counter.add c_tenants c.arrived;
-      Obs.Counter.add c_departures c.departed;
-      Obs.Counter.add c_accesses c.accessed)
-    parts;
-  (* Stable by tenant id: instances of a reappearing id stay in stream
-     order, and the merged list is independent of the shard count. *)
-  List.stable_sort by_tenant (List.concat_map fst parts)
-
-let tenant_totals reports =
-  List.fold_left
-    (fun t { report = r; _ } -> add_report t r ~warmup_len:0)
-    empty_totals reports

@@ -118,63 +118,3 @@ val replay :
 
     @raise Invalid_argument on a non-positive [shards]/[epoch_len] or
     a negative [warmup]. *)
-
-(** {2 Tenant-partitioned replay}
-
-    The fleet model interleaves thousands of short-lived address
-    spaces into one stream of tagged events.  With {e reserved}
-    (per-tenant) simulator state, tenants are independent, so the
-    stream shards by tenant id: shard [k] of [shards] replays exactly
-    the tenants with [tenant mod shards = k], each on a private
-    simulator created at first sight and dropped at departure (peak
-    memory is O(active tenants), not O(tenants ever seen)).  Every
-    shard takes its own fresh pass over the event stream — hence the
-    source {e factory} — and filters out its partition, so no
-    cross-domain hand-off of events is needed.
-
-    The merged result is a pure function of the stream: per-tenant
-    reports come back sorted by tenant id (stream order among
-    instances of a reappearing id) and are byte-identical across shard
-    counts, [~shards:1] being the one-pass replay; the differential
-    suite in [test/test_fleet.ml] asserts this across policies and
-    shard counts. *)
-
-type tenant_event =
-  | Tarrive of { tenant : int }  (** address space [tenant] starts *)
-  | Taccess of { tenant : int; page : int }
-  | Tdepart of { tenant : int }
-      (** address space ends; its report is finalized here *)
-
-type tenant_source = unit -> tenant_event option
-(** A pull stream of tenant events; [None] ends the replay.  An
-    access (or arrival) for an unseen tenant implicitly creates it; a
-    departure for an unseen tenant is ignored; tenants never departing
-    are finalized at end of stream. *)
-
-type tenant_report = { tenant : int; report : Atp_core.Simulation.report }
-
-val pp_tenant_report : Format.formatter -> tenant_report -> unit
-
-val replay_tenants :
-  ?obs:Atp_obs.Scope.t ->
-  shards:int ->
-  make_sim:(int -> Atp_core.Simulation.t) ->
-  (unit -> tenant_source) ->
-  tenant_report list
-(** Tenant-sharded replay.  [make_sim tenant] builds the tenant's
-    private simulator and is called from worker domains: it must be
-    deterministic in [tenant] and share no mutable state across calls.
-    The source factory is called once per shard and each returned
-    source must replay the same event stream (build it from a seed
-    inside the closure).
-
-    [obs] registers the additive counters [tenants] (simulators
-    created), [tenant_departures], and [tenant_accesses]; being sums
-    over the partition, snapshots are shard-count-invariant.
-
-    @raise Invalid_argument on a non-positive [shards] or a negative
-    tenant id in the stream. *)
-
-val tenant_totals : tenant_report list -> totals
-(** Fold per-tenant reports into fleet-wide totals ([epochs] counts
-    tenant instances, [warmup_replayed] stays 0). *)

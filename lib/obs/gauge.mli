@@ -5,8 +5,6 @@ type t
 
 val create : unit -> t
 
-val set : t -> float -> unit
-
 val set_int : t -> int -> unit
 
 val value : t -> float

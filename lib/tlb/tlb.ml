@@ -105,5 +105,3 @@ let reset_stats t =
   Obs.Counter.reset t.c_misses;
   Obs.Counter.reset t.c_insertions;
   Obs.Counter.reset t.c_evictions
-
-let iter f t = Int_table.Poly.iter f t.payloads

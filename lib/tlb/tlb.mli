@@ -4,8 +4,7 @@
     The payload type is abstract because the users differ:
     [Atp_memsim.Walker]'s page-walk cache and victim store keep [unit],
     [Atp_memsim.Vmm] and [Atp_memsim.Nested] keep physical frames, and
-    {!Split} and {!Asid} build on this module and carry their caller's
-    payload. *)
+    {!Split} builds on this module and carries its caller's payload. *)
 
 type 'a t
 
@@ -54,5 +53,3 @@ val reset_stats : 'a t -> unit
     counters (they are the only store), so the two can never
     desynchronize; note that two TLBs sharing one scope therefore
     aggregate — and reset — the same counters. *)
-
-val iter : (int -> 'a -> unit) -> 'a t -> unit

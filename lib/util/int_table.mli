@@ -76,8 +76,6 @@ module Poly : sig
   val remove : 'a t -> int -> bool
   (** Returns whether the key was present. *)
 
-  val iter : (int -> 'a -> unit) -> 'a t -> unit
-
   val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
   val clear : 'a t -> unit

@@ -39,10 +39,6 @@ let push_front t i =
   if mem t i then invalid_arg "Lru_list.push_front: already linked";
   link_after t ~anchor:t.sentinel i
 
-let push_back t i =
-  if mem t i then invalid_arg "Lru_list.push_back: already linked";
-  link_after t ~anchor:t.prev.(t.sentinel) i
-
 let remove t i =
   if not (mem t i) then invalid_arg "Lru_list.remove: not linked";
   let p = t.prev.(i) and n = t.next.(i) in
@@ -56,15 +52,8 @@ let move_to_front t i =
   remove t i;
   link_after t ~anchor:t.sentinel i
 
-let move_to_back t i =
-  remove t i;
-  link_after t ~anchor:t.prev.(t.sentinel) i
-
 let front t =
   if t.length = 0 then None else Some t.next.(t.sentinel)
-
-let back t =
-  if t.length = 0 then None else Some t.prev.(t.sentinel)
 
 let take_back t =
   if t.length = 0 then -1
@@ -73,10 +62,6 @@ let take_back t =
     remove t i;
     i
   end
-
-let pop_back t =
-  let i = take_back t in
-  if i < 0 then None else Some i
 
 let iter_front_to_back f t =
   let rec loop i =

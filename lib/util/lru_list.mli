@@ -3,8 +3,8 @@
 
     This is the workhorse of the O(1) LRU and CLOCK replacement
     policies: node ids are cache-slot indices, [move_to_front] is a
-    touch, and [back] is the eviction victim.  No allocation after
-    [create]. *)
+    touch, and [take_back] removes the eviction victim.  No allocation
+    after [create]. *)
 
 type t
 
@@ -20,11 +20,6 @@ val push_front : t -> int -> unit
 
     @raise Invalid_argument if [i] is already linked. *)
 
-val push_back : t -> int -> unit
-(** Raises [Invalid_argument] if already linked.
-
-    @raise Invalid_argument if [i] is already linked. *)
-
 val remove : t -> int -> unit
 (** Raises [Invalid_argument] if not linked.
 
@@ -33,19 +28,11 @@ val remove : t -> int -> unit
 val move_to_front : t -> int -> unit
 (** Raises [Invalid_argument] if not linked. *)
 
-val move_to_back : t -> int -> unit
-
 val front : t -> int option
 (** Most recently used. *)
 
-val back : t -> int option
-(** Least recently used. *)
-
-val pop_back : t -> int option
-(** Remove and return the back node. *)
-
 val take_back : t -> int
-(** [pop_back] without the option: the unlinked back node id, or [-1]
+(** Unlink and return the back (least recently used) node id, or [-1]
     when the list is empty — the allocation-free eviction primitive. *)
 
 val to_list : t -> int list

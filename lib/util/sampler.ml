@@ -81,11 +81,3 @@ let sample_discrete d rng =
   let n = Array.length d.prob in
   let col = Prng.int rng n in
   if Prng.float rng < d.prob.(col) then col else d.alias.(col)
-
-let mixture branches =
-  if Array.length branches = 0 then invalid_arg "Sampler.mixture: no branches";
-  let weights = Array.map fst branches in
-  let pick = discrete weights in
-  fun rng ->
-    let branch = sample_discrete pick rng in
-    (snd branches.(branch)) rng

@@ -41,10 +41,3 @@ val discrete : float array -> discrete
     negative, or all weights are zero. *)
 
 val sample_discrete : discrete -> Prng.t -> int
-
-val mixture : (float * t) array -> t
-(** [mixture [| (p1, s1); …; (pk, sk) |]] picks branch [i] with
-    probability proportional to [pi] and delegates.  The bimodal
-    workload is [mixture [| (0.9999, hot); (0.0001, cold) |]].
-
-    @raise Invalid_argument if there are no branches. *)

@@ -18,28 +18,8 @@ let sequential ~virtual_pages () =
       pos := (!pos + 1) mod virtual_pages;
       !pos)
 
-let strided ~stride ~virtual_pages () =
-  if virtual_pages < 1 then invalid_arg "Simple.strided: empty space";
-  if stride < 1 then invalid_arg "Simple.strided: stride must be positive";
-  let pos = ref (-stride) in
-  make "strided" virtual_pages
-    (Printf.sprintf "stride-%d scan over %d pages" stride virtual_pages)
-    (fun () ->
-      pos := (!pos + stride) mod virtual_pages;
-      !pos)
-
 let zipf ?(s = 1.0) ~virtual_pages rng =
   let sample = Sampler.zipf ~s ~n:virtual_pages in
   make "zipf" virtual_pages
     (Printf.sprintf "Zipf(s=%.2f) over %d pages" s virtual_pages)
     (fun () -> sample rng)
-
-let looping ~window ~virtual_pages () =
-  if window < 1 || window > virtual_pages then
-    invalid_arg "Simple.looping: bad window";
-  let pos = ref (-1) in
-  make "looping" virtual_pages
-    (Printf.sprintf "cyclic scan over %d of %d pages" window virtual_pages)
-    (fun () ->
-      pos := (!pos + 1) mod window;
-      !pos)

@@ -9,18 +9,6 @@ val sequential : virtual_pages:int -> unit -> Workload.t
 
     @raise Invalid_argument if the space is empty. *)
 
-val strided : stride:int -> virtual_pages:int -> unit -> Workload.t
-(** 0, s, 2s, …, wrapping.
-
-    @raise Invalid_argument if the space is empty or [stride < 1]. *)
-
 val zipf : ?s:float -> virtual_pages:int -> Atp_util.Prng.t -> Workload.t
 (** Zipf-popular pages ([s] defaults to 1.0): a generic skewed
     workload. *)
-
-val looping : window:int -> virtual_pages:int -> unit -> Workload.t
-(** Cyclic scan over the first [window] pages — OPT's canonical
-    advantage case over LRU.
-
-    @raise Invalid_argument on a window that is empty or larger than
-    the space. *)

@@ -6,13 +6,3 @@ type t = {
 }
 
 let generate t n = Array.init n (fun _ -> t.next ())
-
-let to_seq t = Seq.forever t.next
-
-let page_size = 4096
-
-let pages_of_bytes bytes = (bytes + page_size - 1) / page_size
-
-let gib n = n * 1024 * 1024 * 1024
-
-let mib n = n * 1024 * 1024

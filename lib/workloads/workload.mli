@@ -14,14 +14,3 @@ type t = {
 
 val generate : t -> int -> int array
 (** [generate t n] materializes the next [n] references. *)
-
-val to_seq : t -> int Seq.t
-(** An unbounded (ephemeral) view of the stream. *)
-
-val pages_of_bytes : int -> int
-(** Bytes to 4 KiB base pages, rounding up. *)
-
-val gib : int -> int
-(** [gib n] = n GiB in bytes. *)
-
-val mib : int -> int

@@ -1,8 +1,7 @@
-(* Tests for the competitive-analysis toolkit, the workload
-   combinators, and the Machine/Lemma-1 cross-validation. *)
+(* Tests for the competitive-analysis toolkit and the Machine/Lemma-1
+   cross-validation. *)
 
 open Atp_paging
-open Atp_workloads
 open Atp_memsim
 open Atp_util
 
@@ -44,7 +43,7 @@ let test_sleator_tarjan_holds_on_adversary () =
 let prop_sleator_tarjan_on_random_traces =
   QCheck.Test.make ~count:60 ~name:"Sleator-Tarjan bound holds on random traces"
     QCheck.(
-      triple (int_range 2 10) (int_range 1 10)
+      triple (Sizes.range 2 10) (Sizes.range 1 10)
         (list_of_size (Gen.return 400) (int_bound 30)))
     (fun (k, h, pages) ->
       let h = min h k in
@@ -104,53 +103,6 @@ let test_machine_matches_lemma1_reduction () =
         c.Machine.ios)
     [ 1; 4; 16 ]
 
-(* --- Mix ------------------------------------------------------------------ *)
-
-let test_mix_offset () =
-  let w = Mix.offset ~by:1_000 (Simple.sequential ~virtual_pages:5 ()) in
-  check Alcotest.(array int) "shifted" [| 1000; 1001; 1002 |] (Workload.generate w 3);
-  check Alcotest.int "space grows" 1_005 w.Workload.virtual_pages
-
-let test_mix_round_robin () =
-  let a = Simple.sequential ~virtual_pages:10 () in
-  let b = Mix.offset ~by:100 (Simple.sequential ~virtual_pages:10 ()) in
-  let w = Mix.round_robin ~quantum:2 [| a; b |] in
-  check Alcotest.(array int) "time sliced" [| 0; 1; 100; 101; 2; 3; 102 |]
-    (Workload.generate w 7)
-
-let test_mix_phases () =
-  let a = Simple.sequential ~virtual_pages:10 () in
-  let b = Mix.offset ~by:50 (Simple.sequential ~virtual_pages:10 ()) in
-  let w = Mix.phases [ (3, a); (2, b) ] in
-  check Alcotest.(array int) "phase cycle" [| 0; 1; 2; 50; 51; 3; 4; 5; 52 |]
-    (Workload.generate w 9)
-
-let test_mix_interleave_weights () =
-  let rng = Prng.create ~seed:9 () in
-  let hot = Simple.sequential ~virtual_pages:10 () in
-  let cold = Mix.offset ~by:1_000 (Simple.sequential ~virtual_pages:10 ()) in
-  let w = Mix.interleave ~weights:[| 0.9; 0.1 |] [| hot; cold |] rng in
-  let trace = Workload.generate w 10_000 in
-  let cold_count = Array.fold_left (fun acc p -> if p >= 1000 then acc + 1 else acc) 0 trace in
-  let f = float_of_int cold_count /. 10_000.0 in
-  check Alcotest.bool "10% cold" true (f > 0.08 && f < 0.12)
-
-let test_mix_tenants_through_machine () =
-  (* Two tenants with disjoint spaces through one machine: just a
-     smoke test that the combinators compose with the simulator. *)
-  let rng = Prng.create ~seed:11 () in
-  let t1 = Simple.zipf ~virtual_pages:2_000 (Prng.split rng) in
-  let t2 = Mix.offset ~by:10_000 (Simple.zipf ~virtual_pages:2_000 (Prng.split rng)) in
-  let w = Mix.interleave [| t1; t2 |] rng in
-  let trace = Workload.generate w 20_000 in
-  let m =
-    Machine.create
-      { Machine.default_config with ram_pages = 1024; tlb_entries = 64; huge_size = 4 }
-  in
-  let c = Machine.run m trace in
-  check Alcotest.int "all accesses served" 20_000 c.Machine.accesses;
-  check Alcotest.bool "both tenants paged" true (c.Machine.ios > 0)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -168,14 +120,5 @@ let () =
         [
           Alcotest.test_case "machine = paging reduction" `Quick
             test_machine_matches_lemma1_reduction;
-        ] );
-      ( "mix",
-        [
-          Alcotest.test_case "offset" `Quick test_mix_offset;
-          Alcotest.test_case "round robin" `Quick test_mix_round_robin;
-          Alcotest.test_case "phases" `Quick test_mix_phases;
-          Alcotest.test_case "interleave weights" `Quick test_mix_interleave_weights;
-          Alcotest.test_case "tenants through machine" `Quick
-            test_mix_tenants_through_machine;
         ] );
     ]

@@ -8,7 +8,6 @@ module Cost = Atp_obs.Cost
 module Simulation = Atp_core.Simulation
 module Hybrid = Atp_core.Hybrid
 module Engine = Atp_engine.Engine
-module Contended = Atp_fleet.Contended
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -117,10 +116,6 @@ let prop_matches_old_formulas =
                 { Superpage.accesses = 0; tlb_misses = tlb; ios; faults = 0;
                   reservations = 0; promotions = 0; preemptions = 0;
                   huge_evictions = 0 }));
-          ("Contended", plain,
-           price
-             (Contended.ledger
-                { Contended.tenant = 0; accesses = 0; tlb_fills = tlb; ios }));
           ("Machine, tier idle", plain,
            Machine.cost ~epsilon (machine ~tcache_hits:0 ~ipis:0));
           ("Machine with reach",

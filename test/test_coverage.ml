@@ -68,17 +68,6 @@ let test_opt_instance_remove () =
   check Alcotest.bool "remove absent" false (inst.Policy.remove 1);
   check Alcotest.int "size" 0 (inst.Policy.size ())
 
-let test_workload_to_seq () =
-  let w = Simple.sequential ~virtual_pages:3 () in
-  let first = List.of_seq (Seq.take 5 (Workload.to_seq w)) in
-  check Alcotest.(list int) "streams" [ 0; 1; 2; 0; 1 ] first
-
-let test_workload_units () =
-  check Alcotest.int "gib" (1024 * 1024 * 1024) (Workload.gib 1);
-  check Alcotest.int "mib" (1024 * 1024) (Workload.mib 1);
-  check Alcotest.int "pages round up" 2 (Workload.pages_of_bytes 4097);
-  check Alcotest.int "exact" 1 (Workload.pages_of_bytes 4096)
-
 let test_slots_errors () =
   let s = Slots.create 2 in
   let _ = Slots.alloc s 10 in
@@ -140,8 +129,6 @@ let () =
         ] );
       ( "workloads",
         [
-          Alcotest.test_case "to_seq" `Quick test_workload_to_seq;
-          Alcotest.test_case "units" `Quick test_workload_units;
           Alcotest.test_case "bimodal bounds" `Quick test_bimodal_hot_fraction_bounds;
           Alcotest.test_case "walk validation" `Quick test_graph_walk_out_degree_validation;
         ] );

@@ -35,7 +35,7 @@ let prop_opt_lower_bounds_all =
   QCheck.Test.make ~name:"OPT <= every online policy on random streams"
     ~count:40
     QCheck.(
-      triple (int_range 1 12) (int_range 2 40)
+      triple (Sizes.range 1 12) (Sizes.range 2 40)
         (list_of_size Gen.(int_range 1 250) (int_bound 1000)))
     (fun (capacity, universe, pages) ->
       let trace =
@@ -72,7 +72,7 @@ let prop_mattson_reproduces_lru_curve =
   QCheck.Test.make ~name:"Mattson misses = simulated LRU, all capacities"
     ~count:60
     QCheck.(
-      pair (int_range 2 24)
+      pair (Sizes.range 2 24)
         (list_of_size Gen.(int_range 1 200) (int_bound 1000)))
     (fun (universe, pages) ->
       let trace =

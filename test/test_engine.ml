@@ -238,7 +238,7 @@ let prop_pack_stream_cat_roundtrip =
   QCheck.Test.make ~name:"pack -> stream -> cat round-trips byte-for-byte"
     ~count:100
     QCheck.(
-      pair (int_range 1 64)
+      pair (Sizes.range 1 64)
         (list_of_size Gen.(int_range 0 500) (int_bound 1_000_000)))
     (fun (chunk_size, pages) ->
       let trace = Array.of_list pages in
@@ -256,7 +256,7 @@ let prop_pack_stream_cat_roundtrip =
 let prop_stream_array_roundtrip =
   QCheck.Test.make ~name:"Stream.pack_array/to_array round-trip" ~count:100
     QCheck.(
-      pair (int_range 1 32)
+      pair (Sizes.range 1 32)
         (list_of_size
            Gen.(int_range 0 300)
            (make ~print:string_of_int
@@ -389,110 +389,6 @@ let test_pack_from_binary_and_streamed () =
           check (Alcotest.array Alcotest.int) "ATPS -> ATPS rechunk" trace
             (Trace.Stream.to_array dst)))
 
-(* ------------------------------------------------------------------ *)
-(* Tenant-partitioned replay: ragged partitions                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The tenant-sharded differential matrix lives in test_fleet.ml; here
-   we pin down the ragged shapes: more shards than tenants (most
-   partitions empty), one giant tenant dominating a partition, and a
-   stream whose tenants have all departed mid-way before a second
-   wave arrives. *)
-
-let tenant_report_t : Engine.tenant_report Alcotest.testable =
-  Alcotest.testable Engine.pp_tenant_report ( = )
-
-let make_tenant_sim ~policy tenant =
-  let p = Registry.find_exn policy in
-  let x =
-    Policy.instantiate p
-      ~rng:(Prng.create ~seed:(11 + tenant) ())
-      ~capacity:16 ()
-  in
-  let y =
-    Policy.instantiate p
-      ~rng:(Prng.create ~seed:(13 + tenant) ())
-      ~capacity:64 ()
-  in
-  Simulation.create ~seed:(7 + tenant) ~params ~x ~y ()
-
-let tenant_source_of events =
-  let i = ref 0 in
-  fun () ->
-    if !i >= Array.length events then None
-    else begin
-      let e = events.(!i) in
-      incr i;
-      Some e
-    end
-
-(* Deterministic interleaved access burst over the given tenants. *)
-let burst ~seed ~n tenants =
-  let rng = Prng.create ~seed () in
-  List.init n (fun _ ->
-      let t = List.nth tenants (Prng.int rng (List.length tenants)) in
-      Engine.Taccess { tenant = t; page = Prng.int rng 512 })
-
-let ragged_streams =
-  [
-    ( "more shards than tenants",
-      Array.of_list
-        (List.map (fun t -> Engine.Tarrive { tenant = t }) [ 0; 1; 2 ]
-        @ burst ~seed:51 ~n:400 [ 0; 1; 2 ]
-        @ [ Engine.Tdepart { tenant = 1 } ]
-        @ burst ~seed:52 ~n:200 [ 0; 2 ]) );
-    ( "one giant tenant",
-      Array.of_list
-        (burst ~seed:53 ~n:40 [ 1; 2; 3; 4 ]
-        @ burst ~seed:54 ~n:4_000 [ 0 ]
-        @ burst ~seed:55 ~n:40 [ 1; 2; 3; 4 ]) );
-    ( "all tenants departed mid-stream",
-      Array.of_list
-        (burst ~seed:56 ~n:300 [ 0; 1; 2; 3 ]
-        @ List.map (fun t -> Engine.Tdepart { tenant = t }) [ 3; 1; 0; 2 ]
-        (* a departure for a tenant nobody ever saw is ignored *)
-        @ [ Engine.Tdepart { tenant = 9 } ]
-        @ burst ~seed:57 ~n:300 [ 4; 5 ]) );
-  ]
-
-let test_tenant_ragged_partitions () =
-  List.iter
-    (fun (name, events) ->
-      List.iter
-        (fun policy ->
-          let seq =
-            Engine.replay_tenants ~shards:1
-              ~make_sim:(make_tenant_sim ~policy) (fun () ->
-                tenant_source_of events)
-          in
-          List.iter
-            (fun shard_count ->
-              let sharded =
-                Engine.replay_tenants ~shards:shard_count
-                  ~make_sim:(make_tenant_sim ~policy) (fun () ->
-                    tenant_source_of events)
-              in
-              check (Alcotest.list tenant_report_t)
-                (Printf.sprintf "%s: %s, %d shards" name policy shard_count)
-                seq sharded)
-            [ 2; 4; 8; shards ])
-        policies)
-    ragged_streams
-
-let test_tenant_replay_validation () =
-  Alcotest.check_raises "shards must be positive"
-    (Invalid_argument "Engine.replay_tenants: shards must be positive")
-    (fun () ->
-      ignore
-        (Engine.replay_tenants ~shards:0 ~make_sim:(make_tenant_sim ~policy:"lru")
-           (fun () -> tenant_source_of [||])));
-  Alcotest.check_raises "negative tenant id"
-    (Invalid_argument "Engine: negative tenant id") (fun () ->
-      ignore
-        (Engine.replay_tenants ~shards:1
-           ~make_sim:(make_tenant_sim ~policy:"lru") (fun () ->
-             tenant_source_of [| Engine.Taccess { tenant = -1; page = 0 } |])))
-
 let () =
   Alcotest.run "engine"
     [
@@ -510,12 +406,6 @@ let () =
             test_shards_invariant;
           Alcotest.test_case "file stream = array stream" `Quick
             test_stream_source_equivalence;
-        ] );
-      ( "tenant-partitions",
-        [
-          Alcotest.test_case "ragged shapes match sequential" `Quick
-            test_tenant_ragged_partitions;
-          Alcotest.test_case "validation" `Quick test_tenant_replay_validation;
         ] );
       ( "stream-format",
         qsuite [ prop_pack_stream_cat_roundtrip; prop_stream_array_roundtrip ]

@@ -63,7 +63,7 @@ let with_stream pages chunk_size f =
 let prop_fold_chunks_roundtrip =
   QCheck.Test.make ~count:80 ~name:"fold_chunks concatenates to the trace"
     QCheck.(
-      pair (int_range 1 17)
+      pair (Sizes.range 1 17)
         (list_of_size Gen.(int_range 0 300) (int_bound 10_000)))
     (fun (chunk_size, pages) ->
       let got =
@@ -83,7 +83,7 @@ let prop_read_into_roundtrip =
   QCheck.Test.make ~count:80
     ~name:"read_into reassembles the trace for any block pattern"
     QCheck.(
-      triple (int_range 1 17) (int_range 1 23)
+      triple (Sizes.range 1 17) (Sizes.range 1 23)
         (list_of_size Gen.(int_range 0 300) (int_bound 10_000)))
     (fun (chunk_size, block, pages) ->
       let n = List.length pages in
@@ -108,7 +108,7 @@ let prop_read_into_agrees_with_next_chunk =
   QCheck.Test.make ~count:60
     ~name:"read_into drains exactly what next_chunk would"
     QCheck.(
-      pair (int_range 1 13)
+      pair (Sizes.range 1 13)
         (list_of_size Gen.(int_range 0 200) (int_bound 10_000)))
     (fun (chunk_size, pages) ->
       let via_chunks =

@@ -57,7 +57,7 @@ let test_registry_sorted_and_reset () =
   let reg = Obs.Registry.create () in
   Obs.Counter.add (Obs.Registry.counter reg "zeta") 9;
   Obs.Counter.add (Obs.Registry.counter reg "alpha") 4;
-  Obs.Gauge.set (Obs.Registry.gauge reg "g") 2.5;
+  Obs.Gauge.set_int (Obs.Registry.gauge reg "g") 2;
   Obs.Histogram.observe (Obs.Registry.histogram reg "h") 3;
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))

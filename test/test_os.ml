@@ -289,8 +289,8 @@ let test_smp_obs_sums_over_cores () =
 let prop_smp_invariants =
   QCheck.Test.make ~name:"multi-core counter invariants" ~count:200
     QCheck.(
-      quad (int_range 1 8) (int_bound 3)
-        (pair (int_bound 32) (int_range 1 16))
+      quad (Sizes.range 1 8) (int_bound 3)
+        (pair (int_bound 32) (Sizes.range 1 16))
         (pair bool (list_of_size Gen.(int_range 0 600) (int_bound 511))))
     (fun (cores, log_h, (tcache_entries, tlb), (partitioned, refs)) ->
       let huge_size = 1 lsl log_h in

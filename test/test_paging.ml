@@ -116,6 +116,14 @@ let test_lru_evicts_least_recent () =
   (* Now LRU order (most..least) is 1 3 2; inserting 4 evicts 2. *)
   check outcome "evicts 2" (Policy.Miss { evicted = Some 2 }) (Lru.access t 4)
 
+let test_lru_chase_defeats_small_tlb () =
+  (* Classic result: a cyclic chase over one page more than the TLB
+     holds misses every access under LRU. *)
+  let trace = Array.init 1_000 (fun i -> i mod 100) in
+  let inst = Policy.instantiate (module Lru) ~capacity:99 () in
+  let stats = Sim.run inst trace in
+  check Alcotest.int "misses everything" 1_000 stats.Sim.misses
+
 let test_fifo_ignores_hits () =
   let t = Fifo.create ~capacity:3 () in
   ignore (Fifo.access t 1);
@@ -239,7 +247,7 @@ let test_opt_rejects_deviation () =
 
 let prop_opt_no_worse_than_online =
   QCheck.Test.make ~name:"OPT <= every online policy" ~count:60
-    QCheck.(pair (int_range 1 6) (list_of_size (Gen.return 120) (int_bound 12)))
+    QCheck.(pair (Sizes.range 1 6) (list_of_size (Gen.return 120) (int_bound 12)))
     (fun (capacity, pages) ->
       let trace = Array.of_list pages in
       Array.length trace = 0
@@ -257,7 +265,7 @@ let prop_opt_no_worse_than_online =
 
 let prop_lru_augmentation_monotone =
   QCheck.Test.make ~name:"LRU misses never increase with capacity" ~count:60
-    QCheck.(pair (int_range 1 8) (list_of_size (Gen.return 150) (int_bound 20)))
+    QCheck.(pair (Sizes.range 1 8) (list_of_size (Gen.return 150) (int_bound 20)))
     (fun (capacity, pages) ->
       let trace = Array.of_list pages in
       let misses c =
@@ -296,7 +304,7 @@ let prop_access_fast_equals_access =
   QCheck.Test.make ~count:60
     ~name:"mirrors access, every policy"
     QCheck.(
-      triple (int_range 1 24) (int_range 2 60)
+      triple (Sizes.range 1 24) (Sizes.range 2 60)
         (list_of_size Gen.(int_range 1 300) (int_bound 1000)))
     (fun (capacity, universe, pages) ->
       let trace = List.map (fun p -> p mod universe) pages in
@@ -320,7 +328,7 @@ let prop_access_fast_equals_access =
 let prop_lru_touch =
   QCheck.Test.make ~count:100 ~name:"touch refreshes like mem + access_fast"
     QCheck.(
-      pair (int_range 1 16)
+      pair (Sizes.range 1 16)
         (list_of_size Gen.(int_range 1 300) (pair bool (int_bound 40))))
     (fun (capacity, ops) ->
       let t = Lru.create ~capacity () and model = Lru.create ~capacity () in
@@ -347,6 +355,8 @@ let () =
         ( "lru/fifo/mru/clock",
           [
             Alcotest.test_case "lru order" `Quick test_lru_evicts_least_recent;
+            Alcotest.test_case "chase defeats small TLB" `Quick
+              test_lru_chase_defeats_small_tlb;
             Alcotest.test_case "fifo order" `Quick test_fifo_ignores_hits;
             Alcotest.test_case "mru order" `Quick test_mru_evicts_most_recent;
             Alcotest.test_case "clock second chance" `Quick test_clock_second_chance;

@@ -13,7 +13,7 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 (* (capacity, page universe, requests) with shrinking-friendly sizes. *)
 let stream_arb =
   QCheck.(
-    triple (int_range 1 16) (int_range 1 32)
+    triple (Sizes.range 1 16) (Sizes.range 1 32)
       (list_of_size Gen.(int_range 1 300) (int_bound 1000)))
 
 let trace_of (universe, pages) =
@@ -137,6 +137,33 @@ let prop_lru_matches_naive_with_removes =
           else Lru.access lru page = Naive_lru.access ref_model page)
         trace)
 
+(* A failing property over sizes reports its least failing size, not
+   an error from below the floor.  Sizes come from [3, 9], the code
+   under test rejects sizes below 3, and a property that fails from [t]
+   up must shrink to exactly [t], for every [t] in the interval.  From 3
+   or 4, qcheck's integer shrinker proposes 2 next. *)
+let test_size_shrinks_within_interval () =
+  let rand = Random.State.make [| 7 |] in
+  List.iter
+    (fun t ->
+      let cell =
+        QCheck.Test.make_cell ~count:200 ~name:"fails from t up"
+          (Sizes.range 3 9) (fun n ->
+            if n < 3 then invalid_arg "size below the floor";
+            n < t)
+      in
+      let what = Printf.sprintf "failing from %d up" t in
+      match QCheck.TestResult.get_state (QCheck.Test.check_cell ~rand cell) with
+      | Failed { instances = c :: _ } ->
+        Alcotest.(check int) what t c.QCheck.TestResult.instance
+      | Failed { instances = [] } -> Alcotest.failf "%s: no counterexample" what
+      | Success -> Alcotest.failf "%s: the property never failed" what
+      | Failed_other { msg } -> Alcotest.failf "%s: %s" what msg
+      | Error { instance; exn; _ } ->
+        Alcotest.failf "%s: error at size %d: %s" what
+          instance.QCheck.TestResult.instance (Printexc.to_string exn))
+    [ 3; 4; 5; 6; 7; 8; 9 ]
+
 let () =
   Alcotest.run "properties"
     [
@@ -147,4 +174,9 @@ let () =
         qsuite
           [ prop_lru_matches_naive_reference; prop_lru_matches_naive_with_removes ]
       );
+      ( "sizes",
+        [
+          Alcotest.test_case "shrink stays in the interval" `Quick
+            test_size_shrinks_within_interval;
+        ] );
     ]

@@ -212,7 +212,7 @@ let test_packed_array_bytes_roundtrip () =
 let prop_packed_array_model =
   QCheck.Test.make ~name:"packed array matches int-array model" ~count:300
     QCheck.(
-      triple (int_range 1 20) (int_range 1 50)
+      triple (Sizes.range 1 20) (Sizes.range 1 50)
         (list (pair small_nat small_nat)))
     (fun (width, length, ops) ->
       let a = Packed_array.create ~width ~length in
@@ -290,18 +290,6 @@ let test_sampler_discrete_rejects_bad () =
     (Invalid_argument "Sampler.discrete: all weights zero") (fun () ->
       ignore (Sampler.discrete [| 0.0; 0.0 |]))
 
-let test_sampler_mixture () =
-  let rng = Prng.create ~seed:47 () in
-  let hot = Sampler.uniform ~n:10 in
-  let cold _ = 1_000 in
-  let m = Sampler.mixture [| (0.9, hot); (0.1, cold) |] in
-  let cold_hits = ref 0 and total = 20_000 in
-  for _ = 1 to total do
-    if m rng = 1_000 then incr cold_hits
-  done;
-  let f = float_of_int !cold_hits /. float_of_int total in
-  check Alcotest.bool "cold branch ~10%" true (f > 0.08 && f < 0.12)
-
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -353,9 +341,12 @@ let test_lru_list_order () =
   check Alcotest.(list int) "front to back" [ 2; 1; 0 ] (Lru_list.to_list l);
   Lru_list.move_to_front l 0;
   check Alcotest.(list int) "after touch" [ 0; 2; 1 ] (Lru_list.to_list l);
-  check Alcotest.(option int) "back is LRU" (Some 1) (Lru_list.back l);
-  check Alcotest.(option int) "pop back" (Some 1) (Lru_list.pop_back l);
-  check Alcotest.int "length" 2 (Lru_list.length l)
+  check Alcotest.int "take back is LRU" 1 (Lru_list.take_back l);
+  check Alcotest.(list int) "after take" [ 0; 2 ] (Lru_list.to_list l);
+  check Alcotest.int "length" 2 (Lru_list.length l);
+  ignore (Lru_list.take_back l);
+  ignore (Lru_list.take_back l);
+  check Alcotest.int "take back when empty" (-1) (Lru_list.take_back l)
 
 let test_lru_list_errors () =
   let l = Lru_list.create 3 in
@@ -366,14 +357,6 @@ let test_lru_list_errors () =
   Alcotest.check_raises "remove unlinked"
     (Invalid_argument "Lru_list.remove: not linked") (fun () ->
       Lru_list.remove l 2)
-
-let test_lru_list_push_back () =
-  let l = Lru_list.create 4 in
-  Lru_list.push_back l 0;
-  Lru_list.push_back l 1;
-  check Alcotest.(list int) "fifo order" [ 0; 1 ] (Lru_list.to_list l);
-  Lru_list.move_to_back l 0;
-  check Alcotest.(list int) "after move" [ 1; 0 ] (Lru_list.to_list l)
 
 (* ------------------------------------------------------------------ *)
 (* Int_table                                                           *)
@@ -592,7 +575,6 @@ let () =
           Alcotest.test_case "zipf singleton" `Quick test_sampler_zipf_singleton;
           Alcotest.test_case "discrete" `Quick test_sampler_discrete_exact;
           Alcotest.test_case "discrete bad input" `Quick test_sampler_discrete_rejects_bad;
-          Alcotest.test_case "mixture" `Quick test_sampler_mixture;
         ] );
       ( "stats",
         [
@@ -606,7 +588,6 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_lru_list_order;
           Alcotest.test_case "errors" `Quick test_lru_list_errors;
-          Alcotest.test_case "push back" `Quick test_lru_list_push_back;
         ] );
       ( "int_table",
         Alcotest.test_case "basics" `Quick test_int_table_basics

@@ -161,7 +161,7 @@ let test_vmm_bulk_munmap_still_flushes () =
 let prop_vmm_cycle_conservation =
   QCheck.Test.make ~count:40 ~name:"Vmm cycles = tlb + walk + io"
     QCheck.(
-      triple (int_range 16 128)
+      triple (Sizes.range 16 128)
         (list_of_size Gen.(int_range 1 400) (pair (int_bound 255) bool))
         (oneofl [ 0; 8 ]))
     (fun (ram, ops, tcache_entries) ->

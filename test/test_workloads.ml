@@ -158,16 +158,6 @@ let test_sequential () =
   check Alcotest.(array int) "wraps" [| 0; 1; 2; 3; 4; 0; 1 |]
     (Workload.generate w 7)
 
-let test_strided () =
-  let w = Simple.strided ~stride:3 ~virtual_pages:7 () in
-  check Alcotest.(array int) "stride mod wrap" [| 0; 3; 6; 2; 5; 1; 4; 0 |]
-    (Workload.generate w 8)
-
-let test_looping () =
-  let w = Simple.looping ~window:3 ~virtual_pages:100 () in
-  check Alcotest.(array int) "loops window" [| 0; 1; 2; 0; 1; 2 |]
-    (Workload.generate w 6)
-
 let test_zipf_workload () =
   let rng = Prng.create ~seed:12 () in
   let w = Simple.zipf ~virtual_pages:1_000 rng in
@@ -219,58 +209,6 @@ let test_trace_summary () =
   check Alcotest.int "min" 1 s.Trace.min_page;
   check Alcotest.int "max" 5 s.Trace.max_page
 
-(* --- Mix specs --------------------------------------------------------- *)
-
-let mix_spec_components =
-  [|
-    (fun rng -> Simple.uniform ~virtual_pages:100 rng);
-    (fun rng -> Mix.offset ~by:1000 (Simple.uniform ~virtual_pages:100 rng));
-  |]
-
-let test_mix_spec_deterministic () =
-  let s = Mix.spec mix_spec_components in
-  let gen seed =
-    Workload.generate (Mix.instantiate s (Prng.create ~seed ())) 2_000
-  in
-  check (Alcotest.array Alcotest.int) "same seed, same stream" (gen 5) (gen 5);
-  check Alcotest.bool "different seed, different stream" true (gen 5 <> gen 6)
-
-let test_mix_spec_component_independence () =
-  (* Swap out the second component: the first one's subsequence —
-     identifiable because the components live in disjoint page ranges —
-     must not move by a single sample.  (Building both components on
-     one shared generator, the pre-spec idiom, fails this: every draw
-     for component 1 would shift component 0's stream.) *)
-  let first rng = Simple.uniform ~virtual_pages:100 rng in
-  let with_second second = Mix.spec [| first; second |] in
-  let low s =
-    let w = Mix.instantiate s (Prng.create ~seed:9 ()) in
-    List.filter (fun p -> p < 1000) (Array.to_list (Workload.generate w 4_000))
-  in
-  let a =
-    low
-      (with_second (fun rng ->
-           Mix.offset ~by:1000 (Simple.uniform ~virtual_pages:100 rng)))
-  in
-  let b =
-    low
-      (with_second (fun rng ->
-           Mix.offset ~by:1000 (Simple.zipf ~virtual_pages:100 rng)))
-  in
-  check (Alcotest.list Alcotest.int) "component 0 unchanged" a b
-
-let test_mix_spec_validation () =
-  Alcotest.check_raises "no components"
-    (Invalid_argument "Mix.spec: no components") (fun () ->
-      ignore (Mix.spec [||]));
-  Alcotest.check_raises "weight mismatch"
-    (Invalid_argument "Mix.spec: weight mismatch") (fun () ->
-      ignore (Mix.spec ~weights:[| 1.0 |] mix_spec_components));
-  let s = Mix.spec ~name:"named" ~weights:[| 1.0; 1.0 |] mix_spec_components in
-  check Alcotest.string "spec name" "named" (Mix.spec_name s);
-  let w = Mix.instantiate s (Prng.create ~seed:1 ()) in
-  check Alcotest.string "workload name" "named" w.Workload.name
-
 let () =
   Alcotest.run "atp.workloads"
     [
@@ -301,18 +239,7 @@ let () =
       ( "simple",
         [
           Alcotest.test_case "sequential" `Quick test_sequential;
-          Alcotest.test_case "strided" `Quick test_strided;
-          Alcotest.test_case "looping" `Quick test_looping;
           Alcotest.test_case "zipf" `Quick test_zipf_workload;
-        ] );
-      ( "mix-spec",
-        [
-          Alcotest.test_case "deterministic under a seed" `Quick
-            test_mix_spec_deterministic;
-          Alcotest.test_case "component independence" `Quick
-            test_mix_spec_component_independence;
-          Alcotest.test_case "validation and naming" `Quick
-            test_mix_spec_validation;
         ] );
       ( "trace",
         [
