@@ -30,7 +30,6 @@ examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/graph_analytics.exe
 	dune exec examples/buffer_pool.exe
-	dune exec examples/ballsbins_demo.exe
 	dune exec examples/process_sim.exe
 
 clean:

@@ -506,36 +506,75 @@ let competitive () =
 (* A2: balls-and-bins maximum loads (Theorem 2 empirically)            *)
 (* ------------------------------------------------------------------ *)
 
+(* Fill an allocator with pages 0 .. m-1, then run [steps] rounds that
+   each delete a uniformly random live page and insert a fresh one.
+   The maximum load ever is the largest load a bucket reaches just
+   after an insert lands in it. *)
+let churn_max_load params ~m ~steps =
+  let a = Alloc.create ~seed:7 params in
+  let load = Array.make params.Params.buckets 0 in
+  let bucket page code =
+    Alloc.bin_of_choice a ~page ~choice:(code / params.Params.bucket_size)
+  in
+  let max_load = ref 0 in
+  let insert page =
+    let bin = bucket page (Alloc.insert_code a page) in
+    load.(bin) <- load.(bin) + 1;
+    if load.(bin) > !max_load then max_load := load.(bin)
+  in
+  let live = Array.init m Fun.id in
+  Array.iter insert live;
+  let rng = Prng.create ~seed:11 () in
+  for step = 0 to steps - 1 do
+    (* Swap-remove: the order of [live] decides which page each draw
+       deletes, so it is part of the table. *)
+    let i = Prng.int rng m in
+    let victim = live.(i) in
+    let bin = bucket victim (Alloc.code_of a victim) in
+    load.(bin) <- load.(bin) - 1;
+    Alloc.delete a victim;
+    live.(i) <- live.(m - 1);
+    live.(m - 1) <- m + step;
+    insert (m + step)
+  done;
+  assert (Alloc.failures_total a = 0);
+  !max_load
+
 let ballsbins () =
   header "A2: dynamic balls-and-bins maximum loads under churn (Theorem 2)";
-  let open Atp_ballsbins in
   let tasks =
     List.map
-      (fun (bins, lambda) ->
+      (fun (buckets, lambda) ->
         Spec.task
-          ~key:(Printf.sprintf "n=%d/lam=%d" bins lambda)
+          ~key:(Printf.sprintf "n=%d/lam=%d" buckets lambda)
           (fun _reg ->
-            let m = lambda * bins in
+            let m = lambda * buckets in
             let steps = scale_down (2 * m) in
-            let run mk layers =
-              let rng = Prng.create ~seed:7 () in
-              let strategy = mk rng in
-              let game = Game.create ~layers ~bins () in
-              let arng = Prng.create ~seed:11 () in
-              let ops = Adversary.churn arng ~m ~steps ~fresh:true in
-              (Runner.run ~game ~strategy ops).Runner.max_load_ever
-              [@atplint.allow "determinism"]
+            (* Buckets too large to fill, so the physical bound never
+               steers a placement: only the rule shows. *)
+            let bucket_size = (4 * lambda) + 64 in
+            let run scheme tau =
+              let base =
+                Params.derive ~scheme ~p:(buckets * bucket_size) ~w:64 ()
+              in
+              churn_max_load
+                { base with Params.bucket_size; buckets; tau }
+                ~m ~steps
             in
-            let one = run (fun rng -> Strategy.one_choice rng ~bins) 1 in
-            let greedy = run (fun rng -> Strategy.greedy rng ~d:2 ~bins) 1 in
-            let tau = Strategy.default_tau ~m ~bins in
-            let ice = run (fun rng -> Strategy.iceberg rng ~tau ~bins ()) 2 in
+            let iceberg2 = Params.Iceberg { d = 2 } in
+            let one = run Params.One_choice bucket_size in
+            (* Greedy[2] is Iceberg[2] with no front yard. *)
+            let greedy = run iceberg2 0 in
+            (* The (1 + o(1)) lambda front-yard cap, with 5% slack. *)
+            let ice =
+              run iceberg2 (int_of_float (ceil (1.05 *. float_of_int lambda)))
+            in
             (* Theorem 2's bound: (1 + o(1)) lambda + log log n + O(1). *)
             let bound =
               int_of_float
                 (ceil
                    ((1.05 *. float_of_int lambda)
-                   +. Float.log2 (Float.max 2.0 (Float.log2 (float_of_int bins)))
+                   +. Float.log2 (Float.max 2.0 (Float.log2 (float_of_int buckets)))
                    ))
               + 3
             in

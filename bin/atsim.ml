@@ -5,7 +5,6 @@
      atsim sweep     — Figure-1-style huge-page-size sweep on a workload
      atsim decoupled — run the combined algorithm Z on a workload
      atsim policies  — compare paging policies on a workload
-     atsim ballsbins — compare balls-and-bins strategies
      atsim trace     — generate / pack / cat / inspect trace files
 
    Every command is deterministic given --seed. *)
@@ -636,51 +635,6 @@ let policies_cmd =
       $ trace_file_arg)
 
 (* ------------------------------------------------------------------ *)
-(* ballsbins                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let ballsbins_cmd =
-  let run bins lambda steps seed =
-    let open Atp_ballsbins in
-    let m = lambda * bins in
-    Format.printf "%-12s %10s %10s %10s@." "strategy" "max ever" "max final"
-      "failed";
-    let tau = Strategy.default_tau ~m ~bins in
-    List.iter
-      (fun (mk, layers) ->
-        let rng = Prng.create ~seed () in
-        let strategy = mk rng in
-        let game = Game.create ~layers ~bins () in
-        let arng = Prng.create ~seed:(seed + 1) () in
-        let ops = Adversary.churn arng ~m ~steps ~fresh:true in
-        let r =
-          Runner.run ~bin_capacity:(tau + 8) ~game ~strategy ops
-        in
-        Format.printf "%-12s %10d %10d %10d@." strategy.Strategy.name
-          r.Runner.max_load_ever r.Runner.max_load_final r.Runner.failed_balls)
-      [
-        ((fun rng -> Strategy.one_choice rng ~bins), 1);
-        ((fun rng -> Strategy.greedy rng ~d:2 ~bins), 1);
-        ((fun rng -> Strategy.iceberg rng ~tau ~bins ()), 2);
-      ]
-  in
-  Cmd.v
-    (Cmd.info ~exits "ballsbins"
-       ~doc:"Compare balls-and-bins strategies under a churn adversary.")
-    Term.(
-      const run
-      $ Arg.(
-          value & opt int 4096
-          & info [ "bins" ] ~docv:"N" ~doc:"Number of bins.")
-      $ Arg.(
-          value & opt int 12
-          & info [ "lambda" ] ~docv:"L" ~doc:"Average load m/n.")
-      $ Arg.(
-          value & opt int 500_000
-          & info [ "steps" ] ~docv:"N" ~doc:"Churn rounds after the fill.")
-      $ seed_arg)
-
-(* ------------------------------------------------------------------ *)
 (* trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1066,7 +1020,6 @@ let () =
             sweep_cmd;
             decoupled_cmd;
             policies_cmd;
-            ballsbins_cmd;
             trace_cmd;
             mrc_cmd;
             thp_cmd;

@@ -3,7 +3,6 @@
 module Util = Atp_util
 module Obs = Atp_obs
 module Paging = Atp_paging
-module Ballsbins = Atp_ballsbins
 module Tlb = Atp_tlb
 module Memsim = Atp_memsim
 module Core = Atp_core

@@ -1,13 +1,13 @@
 (** The umbrella namespace: one [open Atp] (or qualified [Atp.Core.…])
     reaches every library in the project.
 
-    - {!Util}: PRNG, hashing, bit-packed arrays, samplers, statistics.
+    - {!Util}: PRNG, hashing, bit-packed arrays, a Zipf sampler,
+      statistics.
     - {!Obs}: the observability layer — metric registry, counters,
       histograms, ring-buffer event tracing, JSON export, and the cost
       ledger every machine is priced by.
     - {!Paging}: replacement policies, OPT, simulation, miss-ratio
       curves, competitive analysis.
-    - {!Ballsbins}: the dynamic balls-and-bins laboratory.
     - {!Tlb}: the LRU TLB and the split per-page-size TLB.
     - {!Memsim}: page tables, walkers, nested translation, the
       Section 6 machine on one core or many, THP, superpages, the VMM.
@@ -18,7 +18,6 @@
 module Util = Atp_util
 module Obs = Atp_obs
 module Paging = Atp_paging
-module Ballsbins = Atp_ballsbins
 module Tlb = Atp_tlb
 module Memsim = Atp_memsim
 module Core = Atp_core

@@ -26,11 +26,9 @@ let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
 (* All the asymptotic quantities, evaluated concretely.  Logs are base
    2 and clamped at 1 so the formulas behave at small P. *)
-let derive ?(scheme = Iceberg { d = 2 }) ?(delta_exponent = 1) ~p ~w () =
+let derive ?(scheme = Iceberg { d = 2 }) ~p ~w () =
   if p < 2 then invalid_arg "Params.derive: p must be at least 2";
   if w < 2 then invalid_arg "Params.derive: w must be at least 2";
-  if delta_exponent < 1 then
-    invalid_arg "Params.derive: delta_exponent must be at least 1";
   let lp = Float.max 1.0 (Float.log2 (float_of_int p)) in
   let llp = Float.max 1.0 (Float.log2 lp) in
   let lllp = Float.max 1.0 (Float.log2 llp) in
@@ -45,12 +43,9 @@ let derive ?(scheme = Iceberg { d = 2 }) ?(delta_exponent = 1) ~p ~w () =
     | Iceberg { d } ->
       if d < 1 then invalid_arg "Params.derive: Iceberg d must be at least 1";
       (* λ = log log P · log log log P; front cap τ = (1+o(1))λ; the
-         back yard needs Θ(log log n) extra slots per bucket.  Footnote
-         5: poly(log log P) associativity buys δ = 1/(log log P)^c. *)
+         back yard needs Θ(log log n) extra slots per bucket. *)
       let lambda = llp *. lllp in
-      let delta =
-        clamp 0.01 0.5 (1.0 /. (llp ** float_of_int delta_exponent))
-      in
+      let delta = clamp 0.01 0.5 (1.0 /. llp) in
       let tau = max 1 (int_of_float (ceil (1.05 *. lambda))) in
       let approx_bins = Float.max 2.0 (float_of_int p /. lambda) in
       let backyard =
@@ -61,15 +56,6 @@ let derive ?(scheme = Iceberg { d = 2 }) ?(delta_exponent = 1) ~p ~w () =
       in
       let b =
         max (int_of_float (ceil (lambda /. (1.0 -. delta)))) (tau + backyard)
-      in
-      (* Footnote 5: a tighter δ target needs the additive slack to
-         survive a fuller table, i.e. B·δ >= backyard, so B grows as
-         poly(log log P).  Applied only beyond the body-text
-         construction to keep the default geometry. *)
-      let b =
-        if delta_exponent > 1 then
-          max b (int_of_float (ceil (float_of_int (backyard + 2) /. delta)))
-        else b
       in
       (d + 1, tau, b, delta)
   in

@@ -33,20 +33,15 @@ type t = {
                       most [(1 - delta)·p] pages are active *)
 }
 
-val derive : ?scheme:scheme -> ?delta_exponent:int -> p:int -> w:int -> unit -> t
+val derive : ?scheme:scheme -> p:int -> w:int -> unit -> t
 (** [scheme] defaults to [Iceberg {d = 2}], the paper's main
-    construction.
-
-    [delta_exponent] implements the paper's footnote 5: spending
-    poly(log log P) associativity buys δ = 1/poly(log log P) of our
-    choice.  With [delta_exponent = c] (Iceberg only), the resource
-    augmentation target becomes [1 / (log log P)^c] — a larger bucket
-    size in exchange for handing the RAM-replacement policy a bigger
-    budget.  Default 1 (the body-text construction).
+    construction.  Iceberg's resource augmentation is the body text's
+    δ = 1/log log P; the paper's footnote 5 (more associativity buys a
+    smaller δ) is not modelled.
 
     @raise Invalid_argument on parameters outside the paper's regime:
-    [p < 2], [w < 2], [delta_exponent < 1], [d < 1], or a word too
-    small to encode a page pointer or hold one bucket. *)
+    [p < 2], [w < 2], [d < 1], or a word too small to encode a page
+    pointer or hold one bucket. *)
 
 val usable_pages : t -> int
 (** [(1 - delta) · p], the active-set budget handed to the

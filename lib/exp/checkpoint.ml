@@ -31,13 +31,32 @@ let ensure_parent_dir path =
   in
   mk dir
 
+(* Whether [path] is non-empty and does not end in a newline: the torn
+   last line a killed run leaves. *)
+let ends_torn path =
+  match
+    In_channel.with_open_bin path (fun ic ->
+        let len = In_channel.length ic in
+        Int64.compare len 0L > 0
+        && begin
+          In_channel.seek ic (Int64.pred len);
+          not (Option.equal Char.equal (In_channel.input_char ic) (Some '\n'))
+        end)
+  with
+  | torn -> torn
+  | exception Sys_error _ -> false
+
 let create ~append path =
   ensure_parent_dir path;
   let flags =
     (if append then [ Open_append ] else [ Open_trunc ])
     @ [ Open_wronly; Open_creat ]
   in
-  { oc = open_out_gen flags 0o644 path; lock = Mutex.create () }
+  let torn = append && ends_torn path in
+  let oc = open_out_gen flags 0o644 path in
+  (* End the torn line, so the first new row starts a line of its own. *)
+  if torn then output_char oc '\n';
+  { oc; lock = Mutex.create () }
 
 let append t line =
   Mutex.lock t.lock;

@@ -29,6 +29,9 @@ val ensure_parent_dir : string -> unit
 val create : append:bool -> string -> t
 (** Open [path] for appending ([append:true], resuming) or truncated
     ([append:false], a fresh run).  Parent directories are created.
+    When resuming over a torn last line, a newline ends it first, so
+    the next row starts a line of its own and the torn line alone is
+    skipped by {!load}.
     @raise Sys_error if the file cannot be opened. *)
 
 val append : t -> string -> unit

@@ -83,8 +83,6 @@ let load_text_ic path ic =
    with End_of_file -> ());
   Growbuf.contents buf
 
-let load_text path = with_in path (fun ic -> load_text_ic path ic)
-
 let magic = "ATPT"
 
 let write_u64 oc v =
@@ -118,15 +116,6 @@ let load_binary_body path ic =
       parse_error path "declared count %d exceeds file size" n;
     (try Array.init n (fun _ -> read_u64 ic)
      with End_of_file -> parse_error path "truncated body")
-
-let load_binary path =
-  with_in path (fun ic ->
-      let m =
-        try really_input_string ic 4
-        with End_of_file -> parse_error path "truncated magic"
-      in
-      if not (String.equal m magic) then parse_error path "bad magic";
-      load_binary_body path ic)
 
 (* ------------------------------------------------------------------ *)
 (* The streamed chunked format (ATPS)                                  *)
@@ -483,7 +472,7 @@ let is_hex_token s =
 (* One trimmed, nonempty, non-comment probe line: [`Dec] looks like
    the native decimal format (keep scanning), [`Hexish] like an
    external address record, [`Junk] like neither — stop and stay
-   [Text] so [load_text]'s own bad-line diagnostic fires. *)
+   [Text] so the text loader's own bad-line diagnostic fires. *)
 let classify_probe_line s =
   let tok_end =
     let i = ref 0 in

@@ -26,18 +26,9 @@ val summarize : int array -> summary
 val save_text : string -> int array -> unit
 (** One decimal page number per line. *)
 
-val load_text : string -> int array
-(** Ignores blank lines and [#]-comments.  Parses into a growable flat
-    int buffer — peak memory is one over-allocated array, not a boxed
-    list.
-    @raise Parse_error on a malformed line. *)
-
 val save_binary : string -> int array -> unit
 (** A small framed format: magic "ATPT", a 64-bit little-endian count,
     then 64-bit little-endian page numbers. *)
-
-val load_binary : string -> int array
-(** @raise Parse_error on bad magic or a truncated file. *)
 
 (** The streamed trace format, magic "ATPS": a fixed header (magic,
     64-bit version, chunk size, reference count) followed by framed
@@ -140,8 +131,12 @@ val format_of_file : string -> format
 
 val load : string -> int array
 (** Load any of the three native formats, dispatching as
-    {!format_of_file} with a single open of the file.
-    @raise Parse_error on a malformed file of any format, and on a
+    {!format_of_file} with a single open of the file.  A file with
+    neither magic is text: blank lines and [#]-comments are ignored,
+    and the pages are parsed into a growable flat int buffer, so peak
+    memory is one over-allocated array, not a boxed list.
+    @raise Parse_error on a malformed file of any format (a text line
+      that is not a decimal page, a truncated binary file), and on a
       file sniffed as [Hex] (with a pointer at [atsim trace
       import]). *)
 

@@ -40,27 +40,6 @@ let test_params_rejects_tiny () =
     (Invalid_argument "Params.derive: w too small to encode a single page pointer")
     (fun () -> ignore (Params.derive ~p:(1 lsl 20) ~w:2 ()))
 
-let test_params_delta_exponent () =
-  (* Footnote 5: higher exponents buy smaller delta (more usable RAM)
-     at the price of bigger buckets — and must stay failure-free when
-     filled to their own, larger budget. *)
-  let p1 = Params.derive ~p:(1 lsl 16) ~w:64 () in
-  let p2 = Params.derive ~delta_exponent:2 ~p:(1 lsl 16) ~w:64 () in
-  check Alcotest.bool "smaller delta" true (p2.Params.delta < p1.Params.delta);
-  check Alcotest.bool "more usable pages" true
-    (Params.usable_pages p2 > Params.usable_pages p1);
-  check Alcotest.bool "bigger buckets" true
-    (p2.Params.bucket_size > p1.Params.bucket_size);
-  let a = Alloc.create p2 in
-  for page = 0 to Params.usable_pages p2 - 1 do
-    ignore (Alloc.insert a page)
-  done;
-  check Alcotest.int "still failure-free at the larger budget" 0
-    (Alloc.failures_total a);
-  Alcotest.check_raises "exponent >= 1"
-    (Invalid_argument "Params.derive: delta_exponent must be at least 1")
-    (fun () -> ignore (Params.derive ~delta_exponent:0 ~p:1024 ~w:64 ()))
-
 let test_params_usable_pages () =
   let p = Params.derive ~p:10_000 ~w:64 () in
   let usable = Params.usable_pages p in
@@ -173,6 +152,120 @@ let prop_alloc_churn_consistency =
           Hashtbl.replace frames frame page
       done;
       !ok && Hashtbl.length frames = Alloc.live a)
+
+(* --- Alloc against a naive model of its placement rule --------------- *)
+
+(* Alloc for [scheme], which fixes k, with the bucket count, bucket
+   size and front-yard cap set by hand. *)
+let alloc_at ?seed scheme ~buckets ~bucket_size ~tau =
+  let base = Params.derive ~scheme ~p:(1 lsl 12) ~w:64 () in
+  Alloc.create ?seed { base with Params.buckets; bucket_size; tau }
+
+(* Section 4's rule, written out once more over plain arrays of
+   per-bucket front, back and total counts: the front bucket h1 if its
+   front count is below tau and it is not full; otherwise, of the back
+   candidates h2 .. hk that are not full, the one with the least back
+   count, the first on ties; otherwise a paging failure (None). *)
+let model_choice a ~page ~k ~tau ~bucket_size ~front ~back ~total =
+  let bin choice = Alloc.bin_of_choice a ~page ~choice in
+  let open_bin choice = total.(bin choice) < bucket_size in
+  if front.(bin 0) < tau && open_bin 0 then Some 0
+  else
+    List.fold_left
+      (fun best choice ->
+        match best with
+        | _ when not (open_bin choice) -> best
+        | Some b when back.(bin b) <= back.(bin choice) -> best
+        | Some _ | None -> Some choice)
+      None
+      (List.init (k - 1) (fun i -> i + 1))
+
+(* Random insert/delete streams (a page is deleted when resident and
+   inserted otherwise) on at most 6 buckets of at most 4 slots, with
+   32 pages: full buckets, ties and failures all occur.  Each insert's
+   choice, as [location_of] reports it, must be the model's.  A
+   fallback counts as back-yard load in the bucket it lands in, as
+   Alloc counts it. *)
+let prop_alloc_matches_model ~name scheme ~tau_of =
+  QCheck.Test.make ~name ~count:300
+    QCheck.(
+      quad small_nat (Sizes.range 1 6) (Sizes.range 1 4) (list (int_bound 31)))
+    (fun (seed, buckets, bucket_size, pages) ->
+      let tau = tau_of bucket_size in
+      let a = alloc_at ~seed scheme ~buckets ~bucket_size ~tau in
+      let k = (Alloc.params a).Params.k in
+      let front = Array.make buckets 0
+      and back = Array.make buckets 0
+      and total = Array.make buckets 0 in
+      (* page -> (bucket, placed in the front yard) *)
+      let homes = ref [] in
+      let count (bin, in_front) delta =
+        total.(bin) <- total.(bin) + delta;
+        if in_front then front.(bin) <- front.(bin) + delta
+        else back.(bin) <- back.(bin) + delta
+      in
+      List.for_all
+        (fun page ->
+          match List.assoc_opt page !homes with
+          | Some home ->
+            Alloc.delete a page;
+            homes := List.remove_assoc page !homes;
+            count home (-1);
+            true
+          | None when List.length !homes = buckets * bucket_size -> true
+          | None -> (
+            let expected =
+              model_choice a ~page ~k ~tau ~bucket_size ~front ~back ~total
+            in
+            ignore (Alloc.insert a page);
+            let home =
+              match (expected, Alloc.location_of a page) with
+              | Some c, Some (Alloc.Placed { choice; _ }) when choice = c ->
+                Some (Alloc.bin_of_choice a ~page ~choice, choice = 0)
+              | None, Some (Alloc.Fallback { frame }) ->
+                let bin = frame / bucket_size in
+                if total.(bin) < bucket_size then Some (bin, false) else None
+              | _ -> None
+            in
+            match home with
+            | Some home ->
+              homes := (page, home) :: !homes;
+              count home 1;
+              true
+            | None -> false))
+        pages)
+
+let alloc_model_props =
+  [
+    prop_alloc_matches_model ~name:"placement = naive model, one-choice"
+      Params.One_choice ~tau_of:Fun.id;
+    prop_alloc_matches_model ~name:"placement = naive model, greedy[2]"
+      (Params.Iceberg { d = 2 }) ~tau_of:(fun _ -> 0);
+    prop_alloc_matches_model ~name:"placement = naive model, iceberg[2]"
+      (Params.Iceberg { d = 2 }) ~tau_of:(fun b -> (b + 1) / 2);
+  ]
+
+let test_alloc_iceberg_beats_one_choice () =
+  (* Theorem 2 against Theorem 1 at a static fill of lambda = 8 pages
+     per bucket, in buckets too large to fill: Iceberg[2]'s fullest
+     bucket is no fuller than one-choice's. *)
+  let buckets = 256 and bucket_size = 64 and lambda = 8 in
+  let max_load scheme ~tau =
+    let a = alloc_at scheme ~buckets ~bucket_size ~tau in
+    for page = 0 to (lambda * buckets) - 1 do
+      ignore (Alloc.insert a page)
+    done;
+    check Alcotest.int "no failures" 0 (Alloc.failures_total a);
+    Alloc.max_bucket_load a
+  in
+  let one = max_load Params.One_choice ~tau:bucket_size in
+  let ice =
+    max_load (Params.Iceberg { d = 2 })
+      ~tau:(int_of_float (ceil (1.05 *. float_of_int lambda)))
+  in
+  check Alcotest.bool
+    (Printf.sprintf "iceberg[2] (%d) <= one-choice (%d)" ice one)
+    true (ice <= one)
 
 (* --- Encoding: the Eq. (4) guarantee --------------------------------- *)
 
@@ -439,8 +532,6 @@ let () =
           Alcotest.test_case "one-choice" `Quick test_params_one_choice;
           Alcotest.test_case "h_max monotone in w" `Quick test_params_h_max_grows_with_w;
           Alcotest.test_case "rejects tiny w" `Quick test_params_rejects_tiny;
-          Alcotest.test_case "delta exponent (footnote 5)" `Quick
-            test_params_delta_exponent;
           Alcotest.test_case "usable pages" `Quick test_params_usable_pages;
         ] );
       ( "alloc",
@@ -449,7 +540,9 @@ let () =
         :: Alcotest.test_case "phi injective+stable" `Quick test_alloc_phi_injective_and_stable
         :: Alcotest.test_case "saturation" `Quick test_alloc_failure_at_saturation
         :: Alcotest.test_case "iceberg within budget" `Quick test_alloc_iceberg_no_failures_at_budget
-        :: qsuite [ prop_alloc_churn_consistency ] );
+        :: Alcotest.test_case "iceberg[2] no fuller than one-choice" `Quick
+             test_alloc_iceberg_beats_one_choice
+        :: qsuite (prop_alloc_churn_consistency :: alloc_model_props) );
       ( "encoding",
         Alcotest.test_case "roundtrip" `Quick test_encoding_roundtrip_small
         :: Alcotest.test_case "fits w" `Quick test_encoding_fits_w

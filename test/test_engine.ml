@@ -313,7 +313,7 @@ let test_stream_empty () =
         (Trace.Stream.to_array path))
 
 (* ------------------------------------------------------------------ *)
-(* load_text regressions                                               *)
+(* Text-format load regressions                                        *)
 (* ------------------------------------------------------------------ *)
 
 let write_file path s =
@@ -325,23 +325,23 @@ let test_load_text_edge_cases () =
   with_temp (fun path ->
       write_file path "";
       check (Alcotest.array Alcotest.int) "empty file" [||]
-        (Trace.load_text path));
+        (Trace.load path));
   with_temp (fun path ->
       write_file path "# only\n# comments\n\n";
       check (Alcotest.array Alcotest.int) "comments-only file" [||]
-        (Trace.load_text path));
+        (Trace.load path));
   with_temp (fun path ->
       write_file path "1\n2\n3\n";
       check (Alcotest.array Alcotest.int) "trailing newline" [| 1; 2; 3 |]
-        (Trace.load_text path));
+        (Trace.load path));
   with_temp (fun path ->
       write_file path "1\n2\n3";
       check (Alcotest.array Alcotest.int) "no trailing newline" [| 1; 2; 3 |]
-        (Trace.load_text path));
+        (Trace.load path));
   with_temp (fun path ->
       write_file path "1\nnope\n";
       check Alcotest.bool "bad line raises" true
-        (match Trace.load_text path with
+        (match Trace.load path with
         | exception Trace.Parse_error _ -> true
         | _ -> false))
 

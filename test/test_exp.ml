@@ -347,7 +347,9 @@ let test_runner_resume_byte_identical () =
   Sys.remove json;
   Sys.rmdir dir
 
-let test_checkpoint_torn_line () =
+(* A checkpoint a kill left mid-append: task a's row, then a torn
+   line. *)
+let torn_checkpoint () =
   let line =
     Json.to_string
       (Schema.ok_row ~experiment:"t" ~task:"a" ~attempts:1 ~wall_s:1.0
@@ -355,10 +357,22 @@ let test_checkpoint_torn_line () =
          ~obs:(Json.Obj []))
   in
   let path = Filename.temp_file "atp_ckpt" ".ckpt" in
-  (* A kill mid-append leaves a torn trailing line. *)
   Out_channel.with_open_text path (fun oc ->
       output_string oc (line ^ "\n");
       output_string oc {|{"schema":"atp.bench/1","kind":"row","task":"b","trunc|});
+  (path, line)
+
+let resume_config path =
+  {
+    Runner.default_config with
+    domains = Some 1;
+    checkpoint_path = Some path;
+    resume = true;
+    clock = Some (ticking_clock ());
+  }
+
+let test_checkpoint_torn_line () =
+  let path, line = torn_checkpoint () in
   let loaded = Checkpoint.load path in
   check
     Alcotest.(list string)
@@ -375,22 +389,32 @@ let test_checkpoint_torn_line () =
           Json.Obj [ ("v", Json.Int 2) ]);
     ]
   in
-  let config =
-    {
-      Runner.default_config with
-      domains = Some 1;
-      checkpoint_path = Some path;
-      resume = true;
-      clock = Some (ticking_clock ());
-    }
-  in
-  let outcomes = Runner.run ~config (Spec.v ~name:"t" tasks) in
+  let outcomes = Runner.run ~config:(resume_config path) (Spec.v ~name:"t" tasks) in
   check Alcotest.int "torn task re-ran" 1 (Atomic.get runs_b);
   check
     Alcotest.(list bool)
     "replay flags" [ true; false ]
     (List.map (fun o -> o.Outcome.replayed) outcomes);
   check Alcotest.bool "all ok" true (List.for_all Outcome.ok outcomes)
+
+(* The row a resumed run completes first must not land on the torn
+   line, or the next resume cannot parse it and runs its task again.
+   Task c fails, so the checkpoint outlives the run. *)
+let test_checkpoint_resume_after_torn_line () =
+  let path, _ = torn_checkpoint () in
+  let tasks =
+    [
+      Spec.task ~key:"a" (fun _ -> Alcotest.fail "a must not re-run");
+      Spec.task ~key:"b" (fun _ -> Json.Obj [ ("v", Json.Int 2) ]);
+      Spec.task ~key:"c" (fun _ -> failwith "interrupted");
+    ]
+  in
+  ignore (Runner.run ~config:(resume_config path) (Spec.v ~name:"t" tasks));
+  check
+    Alcotest.(list string)
+    "old and new rows both load" [ "a"; "b" ]
+    (List.map fst (Checkpoint.load path));
+  Sys.remove path
 
 (* --- Report ----------------------------------------------------------- *)
 
@@ -508,6 +532,8 @@ let () =
             test_runner_resume_byte_identical;
           Alcotest.test_case "torn checkpoint line" `Quick
             test_checkpoint_torn_line;
+          Alcotest.test_case "resume after a torn line keeps its rows" `Quick
+            test_checkpoint_resume_after_torn_line;
           Alcotest.test_case "outcome accessors" `Quick test_outcome_accessors;
         ] );
       ( "report",

@@ -1,8 +1,6 @@
-(* Tests for the unified scheme interface and Vöcking's always-go-left
-   strategy. *)
+(* Tests for the unified scheme interface. *)
 
 open Atp_core
-open Atp_ballsbins
 open Atp_workloads
 open Atp_util
 
@@ -130,41 +128,6 @@ let test_scheme_reach_default_price () =
     (float_of_int c.ios +. (0.01 *. float_of_int c.tlb_misses))
     price
 
-(* --- Always-go-left -------------------------------------------------------- *)
-
-let test_left_greedy_validates () =
-  let rng = Prng.create ~seed:5 () in
-  Alcotest.check_raises "indivisible"
-    (Invalid_argument "Strategy.left_greedy: bins must be divisible by d")
-    (fun () -> ignore (Strategy.left_greedy rng ~d:3 ~bins:16))
-
-let test_left_greedy_groups () =
-  let rng = Prng.create ~seed:6 () in
-  let bins = 16 in
-  let s = Strategy.left_greedy rng ~d:2 ~bins in
-  let g = Game.create ~bins () in
-  (* With empty bins, ties go left: every ball lands in group 0. *)
-  for ball = 0 to 49 do
-    let p = s.Strategy.choose g ball in
-    check Alcotest.bool "leftmost on tie" true (p.Strategy.bin < bins / 2);
-    (* Don't place: keep all loads zero so ties persist. *)
-    ignore p
-  done
-
-let test_left_greedy_balances () =
-  let rng = Prng.create ~seed:7 () in
-  let bins = 1024 in
-  let s = Strategy.left_greedy rng ~d:2 ~bins in
-  let g = Game.create ~bins () in
-  let r =
-    Runner.run ~game:g ~strategy:s (Adversary.arrivals ~m:(8 * bins))
-  in
-  (* Two-choice behaviour: max load stays near the average. *)
-  check Alcotest.bool
-    (Printf.sprintf "max load small (%d)" r.Runner.max_load_final)
-    true
-    (r.Runner.max_load_final <= 8 + 4)
-
 let () =
   Alcotest.run "atp.scheme"
     [
@@ -178,11 +141,5 @@ let () =
             `Quick test_scheme_compare_all_rejects_tcache_price;
           Alcotest.test_case "reach ledger at default prices = machine cost"
             `Quick test_scheme_reach_default_price;
-        ] );
-      ( "left-greedy",
-        [
-          Alcotest.test_case "validates" `Quick test_left_greedy_validates;
-          Alcotest.test_case "ties go left" `Quick test_left_greedy_groups;
-          Alcotest.test_case "balances" `Quick test_left_greedy_balances;
         ] );
     ]

@@ -232,27 +232,6 @@ let prop_packed_array_model =
 (* Sampler                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_sampler_uniform_support () =
-  let rng = Prng.create ~seed:31 () in
-  let s = Sampler.uniform ~n:5 in
-  for _ = 1 to 1_000 do
-    let v = s rng in
-    check Alcotest.bool "in support" true (v >= 0 && v < 5)
-  done
-
-let test_sampler_pareto_bounds_and_skew () =
-  let rng = Prng.create ~seed:37 () in
-  let n = 1_000 in
-  let s = Sampler.bounded_pareto ~alpha:1.0 ~n in
-  let low = ref 0 and total = 20_000 in
-  for _ = 1 to total do
-    let v = s rng in
-    check Alcotest.bool "in support" true (v >= 0 && v < n);
-    if v < 10 then incr low
-  done;
-  (* With alpha = 1 the first 10 ranks carry most of the mass. *)
-  check Alcotest.bool "skew towards low ranks" true (!low > total / 2)
-
 let test_sampler_zipf_bounds_and_skew () =
   let rng = Prng.create ~seed:41 () in
   let n = 10_000 in
@@ -271,24 +250,6 @@ let test_sampler_zipf_singleton () =
   let rng = Prng.create () in
   let s = Sampler.zipf ~s:1.0 ~n:1 in
   check Alcotest.int "only value" 0 (s rng)
-
-let test_sampler_discrete_exact () =
-  let rng = Prng.create ~seed:43 () in
-  let d = Sampler.discrete [| 1.0; 0.0; 3.0 |] in
-  let counts = Array.make 3 0 in
-  let total = 40_000 in
-  for _ = 1 to total do
-    let v = Sampler.sample_discrete d rng in
-    counts.(v) <- counts.(v) + 1
-  done;
-  check Alcotest.int "zero-weight branch never drawn" 0 counts.(1);
-  let f0 = float_of_int counts.(0) /. float_of_int total in
-  check Alcotest.bool "weight-1 branch ~25%" true (f0 > 0.22 && f0 < 0.28)
-
-let test_sampler_discrete_rejects_bad () =
-  Alcotest.check_raises "all zero"
-    (Invalid_argument "Sampler.discrete: all weights zero") (fun () ->
-      ignore (Sampler.discrete [| 0.0; 0.0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -569,12 +530,8 @@ let () =
         :: qsuite [ prop_packed_array_model ] );
       ( "sampler",
         [
-          Alcotest.test_case "uniform support" `Quick test_sampler_uniform_support;
-          Alcotest.test_case "pareto" `Quick test_sampler_pareto_bounds_and_skew;
           Alcotest.test_case "zipf" `Quick test_sampler_zipf_bounds_and_skew;
           Alcotest.test_case "zipf singleton" `Quick test_sampler_zipf_singleton;
-          Alcotest.test_case "discrete" `Quick test_sampler_discrete_exact;
-          Alcotest.test_case "discrete bad input" `Quick test_sampler_discrete_rejects_bad;
         ] );
       ( "stats",
         [
